@@ -9,6 +9,7 @@ transient serverless containers (§8.2).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -64,29 +65,30 @@ class TmoPolicy(PeriodicScanPolicy):
             self.platform.fastswap.offload(cgroup, victims)
 
     def _coldest_victims(self, container, budget_pages: int) -> List[PageRegion]:
-        candidates = [
-            region
+        """Coldest-first victims, splitting the last region to fit.
+
+        Keys ``(last access, region_id)`` are unique, so popping a heap
+        yields the same order as a full sort while touching only the
+        few regions one small step needs.
+        """
+        heap = [
+            (
+                region.last_access if region.last_access is not None else -1.0,
+                region.region_id,
+                region,
+            )
             for segment in (Segment.RUNTIME, Segment.INIT)
             for region in container.cgroup.local_regions(segment)
-            if not region.freed
         ]
-        candidates.sort(
-            key=lambda r: (
-                r.last_access if r.last_access is not None else -1.0,
-                r.region_id,
-            )
-        )
+        heapq.heapify(heap)
         victims: List[PageRegion] = []
         remaining = budget_pages
-        for region in candidates:
-            if remaining <= 0:
-                break
+        while heap and remaining > 0:
+            region = heapq.heappop(heap)[2]
             if region.pages <= remaining:
                 victims.append(region)
                 remaining -= region.pages
             else:
-                sibling = region.split(remaining)
-                container.cgroup.space.adopt(sibling)
-                victims.append(sibling)
+                victims.append(container.cgroup.space.split(region, remaining))
                 remaining = 0
         return victims

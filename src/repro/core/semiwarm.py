@@ -206,9 +206,7 @@ class SemiWarmController:
                 victims.append(region)
                 remaining -= region.pages
             else:
-                sibling = region.split(remaining)
-                self.container.cgroup.space.adopt(sibling)
-                victims.append(sibling)
+                victims.append(self.container.cgroup.space.split(region, remaining))
                 remaining = 0
         return victims
 

@@ -277,8 +277,7 @@ class Container:
         # stream) differ across processes for the same seed.
         for name, segment in sorted(names, key=lambda ns: (ns[0], ns[1].value)):
             for sibling in self.cgroup.space.find(name, segment):
-                if not sibling.freed:
-                    seen.setdefault(sibling.region_id, sibling)
+                seen.setdefault(sibling.region_id, sibling)
         return list(seen.values())
 
     def _complete(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import MemoryError_
 from repro.mem.page import Location, PageRegion, Segment
@@ -17,13 +17,25 @@ class AddressSpace:
     regions exist, which are touched, and where they live, and notifies
     observers (cgroup accounting, offload policies) of allocations,
     touches and frees. It never decides anything.
+
+    It is the only writer of a live region's ``pages`` and
+    ``location`` (through :meth:`split` and :meth:`relocate`), so it
+    keeps its indexes exact without rescanning: regions by id, by
+    segment and by ``(name, segment)`` family, each an insertion-
+    ordered dict, plus page counters per (segment, location). Regions
+    are inserted as they are created, so insertion order is ascending
+    ``region_id`` order.
     """
 
     def __init__(self, owner: str = "") -> None:
         self.owner = owner
         self._regions: Dict[int, PageRegion] = {}
-        self._by_segment: Dict[Segment, List[PageRegion]] = {
-            segment: [] for segment in Segment
+        self._by_segment: Dict[Segment, Dict[int, PageRegion]] = {
+            segment: {} for segment in Segment
+        }
+        self._families: Dict[Tuple[str, Segment], Dict[int, PageRegion]] = {}
+        self._pages: Dict[Segment, Dict[Location, int]] = {
+            segment: {location: 0 for location in Location} for segment in Segment
         }
         self.on_alloc: List[RegionCallback] = []
         self.on_touch: List[RegionCallback] = []
@@ -49,21 +61,51 @@ class AddressSpace:
         region = PageRegion(name=name, segment=segment, pages=pages, allocated_at=now)
         if touched:
             region.touch(now)
-        self._insert(region)
+        self._index(region)
+        self._pages[segment][region.location] += region.pages
         for callback in self.on_alloc:
             callback(region)
         return region
 
-    def adopt(self, region: PageRegion) -> None:
-        """Insert a region produced by :meth:`PageRegion.split`."""
-        self._insert(region)
+    def split(self, region: PageRegion, pages: int) -> PageRegion:
+        """Carve ``pages`` pages off ``region`` into a new live region.
+
+        The sibling inherits name, segment, location and access state
+        (see :meth:`PageRegion.split`); no observer is notified, since
+        the pages were already accounted with ``region``.
+        """
+        if region.region_id not in self._regions:
+            raise MemoryError_(f"split of unknown region {region.name!r}")
+        sibling = region.split(pages)
+        self._index(sibling)
+        return sibling
+
+    def relocate(self, region: PageRegion, location: Location) -> None:
+        """Move a live region's pages to ``location`` (swap out / in)."""
+        if region.region_id not in self._regions:
+            raise MemoryError_(f"relocate of unknown region {region.name!r}")
+        if region.location is location:
+            raise MemoryError_(
+                f"region {region.name!r} is already {location.value}"
+            )
+        counts = self._pages[region.segment]
+        counts[region.location] -= region.pages
+        counts[location] += region.pages
+        region.location = location
 
     def free(self, region: PageRegion) -> None:
         """Release a region (e.g. exec scratch at request completion)."""
-        if region.region_id not in self._regions:
+        region_id = region.region_id
+        if region_id not in self._regions:
             raise MemoryError_(f"free of unknown region {region.name!r}")
-        del self._regions[region.region_id]
-        self._by_segment[region.segment].remove(region)
+        del self._regions[region_id]
+        del self._by_segment[region.segment][region_id]
+        family = (region.name, region.segment)
+        members = self._families[family]
+        del members[region_id]
+        if not members:
+            del self._families[family]
+        self._pages[region.segment][region.location] -= region.pages
         region.mark_freed()
         for callback in self.on_free:
             callback(region)
@@ -71,7 +113,7 @@ class AddressSpace:
     def free_segment(self, segment: Segment) -> int:
         """Free every region in ``segment``; return pages released."""
         released = 0
-        for region in list(self._by_segment[segment]):
+        for region in list(self._by_segment[segment].values()):
             released += region.pages
             self.free(region)
         return released
@@ -83,9 +125,11 @@ class AddressSpace:
             released += self.free_segment(segment)
         return released
 
-    def _insert(self, region: PageRegion) -> None:
-        self._regions[region.region_id] = region
-        self._by_segment[region.segment].append(region)
+    def _index(self, region: PageRegion) -> None:
+        region_id = region.region_id
+        self._regions[region_id] = region
+        self._by_segment[region.segment][region_id] = region
+        self._families.setdefault((region.name, region.segment), {})[region_id] = region
 
     # ------------------------------------------------------------------
     # Access
@@ -110,12 +154,13 @@ class AddressSpace:
     # ------------------------------------------------------------------
 
     def regions(self, segment: Optional[Segment] = None) -> Iterator[PageRegion]:
-        """Iterate live regions, optionally restricted to one segment."""
-        if segment is None:
-            # Iterate in allocation order for determinism.
-            yield from sorted(self._regions.values(), key=lambda r: r.region_id)
-        else:
-            yield from list(self._by_segment[segment])
+        """Iterate live regions in ascending id order, optionally one segment.
+
+        Iterates a snapshot, so callers may allocate, split or free
+        while iterating.
+        """
+        source = self._regions if segment is None else self._by_segment[segment]
+        yield from list(source.values())
 
     def get(self, region_id: int) -> PageRegion:
         """Look a region up by id."""
@@ -125,8 +170,16 @@ class AddressSpace:
             raise MemoryError_(f"no region with id {region_id}") from None
 
     def find(self, name: str, segment: Optional[Segment] = None) -> List[PageRegion]:
-        """Return live regions whose name matches exactly."""
-        return [r for r in self.regions(segment) if r.name == name]
+        """Return live regions whose name matches exactly, in id order."""
+        if segment is not None:
+            return list(self._families.get((name, segment), {}).values())
+        found = [
+            region
+            for each in Segment
+            for region in self._families.get((name, each), {}).values()
+        ]
+        found.sort(key=lambda region: region.region_id)
+        return found
 
     def pages(
         self,
@@ -134,11 +187,9 @@ class AddressSpace:
         location: Optional[Location] = None,
     ) -> int:
         """Total pages, optionally filtered by segment and location."""
-        total = 0
-        for region in self.regions(segment):
-            if location is None or region.location is location:
-                total += region.pages
-        return total
+        segments = Segment if segment is None else (segment,)
+        locations = Location if location is None else (location,)
+        return sum(self._pages[each][where] for each in segments for where in locations)
 
     @property
     def local_pages(self) -> int:

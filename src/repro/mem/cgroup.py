@@ -72,22 +72,14 @@ class Cgroup:
 
     def mark_offloaded(self, region: PageRegion) -> None:
         """Flip a local region to REMOTE and fix up accounting."""
-        if region not in self.space:
-            raise MemoryError_(f"region {region.name!r} not in cgroup {self.name}")
-        if region.is_remote:
-            raise MemoryError_(f"region {region.name!r} is already remote")
-        region.location = Location.REMOTE
+        self.space.relocate(region, Location.REMOTE)
         self.node.sub_local(region.pages)
         # An offloaded page leaves the LRU; it re-enters on swap-in.
         self.mglru.remove(region)
 
     def mark_fetched(self, region: PageRegion) -> None:
         """Flip a remote region back to LOCAL and fix up accounting."""
-        if region not in self.space:
-            raise MemoryError_(f"region {region.name!r} not in cgroup {self.name}")
-        if region.is_local:
-            raise MemoryError_(f"region {region.name!r} is already local")
-        region.location = Location.LOCAL
+        self.space.relocate(region, Location.LOCAL)
         self.node.add_local(region.pages, owner=self.name)
         self.mglru.insert(region)
 

@@ -130,6 +130,19 @@ class TestFunctionProfiler:
         with pytest.raises(ValueError):
             self._profiler().record_reuse("f", -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_interval_rejected(self, bad):
+        profiler = self._profiler(semiwarm_min_samples=1)
+        profiler.record_reuse("f", 5.0)
+        with pytest.raises(ValueError, match="'f'"):
+            profiler.record_reuse("f", bad)
+        assert profiler.semiwarm_start_timing("f") == 5.0
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_invalid_prior_rejected(self, bad):
+        with pytest.raises(ValueError, match="'g'"):
+            FunctionProfiler(FaaSMemConfig(), reuse_priors={"f": [1.0], "g": [2.0, bad]})
+
     def test_windows_median(self):
         profiler = self._profiler()
         assert profiler.typical_window("f") is None

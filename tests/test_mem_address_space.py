@@ -32,12 +32,11 @@ class TestAllocate:
         r = space.allocate("a", Segment.EXEC, 3, now=0.0)
         assert seen == [r]
 
-    def test_adopt_skips_callbacks(self, space):
+    def test_split_skips_callbacks(self, space):
         seen = []
         space.on_alloc.append(seen.append)
         r = space.allocate("a", Segment.INIT, 10, now=0.0)
-        sibling = r.split(4)
-        space.adopt(sibling)
+        sibling = space.split(r, 4)
         assert seen == [r]
         assert space.total_pages == 10  # conserved
 
@@ -96,7 +95,7 @@ class TestQueries:
     def test_pages_by_segment_and_location(self, space):
         a = space.allocate("a", Segment.INIT, 4, now=0.0)
         space.allocate("b", Segment.RUNTIME, 6, now=0.0)
-        a.location = Location.REMOTE
+        space.relocate(a, Location.REMOTE)
         assert space.pages(Segment.INIT) == 4
         assert space.local_pages == 6
         assert space.remote_pages == 4
@@ -104,8 +103,7 @@ class TestQueries:
 
     def test_find_by_name(self, space):
         a = space.allocate("weights", Segment.INIT, 4, now=0.0)
-        sibling = a.split(1)
-        space.adopt(sibling)
+        sibling = space.split(a, 1)
         assert set(space.find("weights")) == {a, sibling}
         assert space.find("weights", Segment.RUNTIME) == []
 

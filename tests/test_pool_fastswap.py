@@ -195,8 +195,7 @@ class TestSwapStatsConservation:
         in flight must abort, not account mismatched page counts."""
         r = cgroup.allocate("a", Segment.INIT, 100)
         fastswap.offload(cgroup, [r])
-        sibling = r.split(40)  # shrink r to 60 pages mid-flight
-        cgroup.space.adopt(sibling)
+        sibling = cgroup.space.split(r, 40)  # shrink r to 60 pages mid-flight
         engine.run()
         assert fastswap.stats.aborted_offloads == 1
         assert fastswap.stats.offloaded_pages == 0

@@ -55,8 +55,9 @@ class TestAccountingInvariants:
             elif op == "split":
                 splittable = [r for r in live if r.pages > 1]
                 if splittable:
-                    sibling = splittable[0].split(splittable[0].pages // 2)
-                    cgroup.space.adopt(sibling)
+                    sibling = cgroup.space.split(
+                        splittable[0], splittable[0].pages // 2
+                    )
                     live.append(sibling)
             # Invariants hold after every step.
             assert node.local_pages == sum(r.pages for r in live if r.is_local)
@@ -76,8 +77,7 @@ class TestAccountingInvariants:
         total_before = node.local_pages
         for region in regions:
             while region.pages > 1:
-                sibling = region.split(region.pages // 2)
-                cgroup.space.adopt(sibling)
+                sibling = cgroup.space.split(region, region.pages // 2)
                 if sibling.pages <= 1:
                     break
         assert node.local_pages == total_before
