@@ -44,8 +44,6 @@ class DamonPolicy(PeriodicScanPolicy):
         victims = []
         for segment in (Segment.RUNTIME, Segment.INIT):
             for region in container.cgroup.local_regions(segment):
-                if region.freed:
-                    continue
                 if region.clear_access_bit():
                     ages[region.region_id] = 0
                     continue

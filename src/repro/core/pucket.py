@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import FaaSMemConfig
 from repro.errors import PolicyError
 from repro.mem.cgroup import Cgroup
-from repro.mem.page import PageRegion, Segment
+from repro.mem.page import Location, PageRegion, Segment
 from repro.obs.trace import EventKind
 
 
@@ -166,9 +166,8 @@ class ContainerMemoryState:
 
         Returns the modelled (blocking) insertion cost.
         """
-        for region in self.cgroup.space.regions(Segment.RUNTIME):
-            if region.is_local:
-                self.runtime_pucket.add_inactive(region)
+        for region in self.cgroup.space.regions(Segment.RUNTIME, Location.LOCAL):
+            self.runtime_pucket.add_inactive(region)
         self.cgroup.mglru.new_generation(now, label="runtime-init-barrier")
         self._emit_seal(self.runtime_pucket, now)
         cost = (
@@ -183,9 +182,8 @@ class ContainerMemoryState:
         if self._init_barrier_inserted:
             raise PolicyError("init-exec barrier inserted twice")
         self._init_barrier_inserted = True
-        for region in self.cgroup.space.regions(Segment.INIT):
-            if region.is_local:
-                self.init_pucket.add_inactive(region)
+        for region in self.cgroup.space.regions(Segment.INIT, Location.LOCAL):
+            self.init_pucket.add_inactive(region)
         self.cgroup.mglru.new_generation(now, label="init-exec-barrier")
         self._emit_seal(self.init_pucket, now)
         cost = (

@@ -56,7 +56,6 @@ def ordered_offload_candidates(
         region
         for segment in (Segment.RUNTIME, Segment.INIT)
         for region in cgroup.local_regions(segment)
-        if not region.freed
     ]
     return sorted(regions, key=age_key)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import MemoryError_
 from repro.mem.page import Location, PageRegion, Segment
@@ -21,22 +21,27 @@ class AddressSpace:
     It is the only writer of a live region's ``pages`` and
     ``location`` (through :meth:`split` and :meth:`relocate`), so it
     keeps its indexes exact without rescanning: regions by id, by
-    segment and by ``(name, segment)`` family, each an insertion-
-    ordered dict, plus page counters per (segment, location). Regions
-    are inserted as they are created, so insertion order is ascending
-    ``region_id`` order.
+    ``(name, segment)`` family and by (segment, location) bucket, each
+    an insertion-ordered dict, plus page counters per (segment,
+    location) and per location. Regions are inserted as they are
+    created, so insertion order is ascending ``region_id`` order; only
+    :meth:`relocate` appends an older id to a bucket, which marks the
+    bucket for a re-sort on its next read.
     """
 
     def __init__(self, owner: str = "") -> None:
         self.owner = owner
         self._regions: Dict[int, PageRegion] = {}
-        self._by_segment: Dict[Segment, Dict[int, PageRegion]] = {
-            segment: {} for segment in Segment
-        }
         self._families: Dict[Tuple[str, Segment], Dict[int, PageRegion]] = {}
+        self._buckets: Dict[Tuple[Segment, Location], Dict[int, PageRegion]] = {
+            (segment, location): {} for segment in Segment for location in Location
+        }
+        # Buckets whose insertion order is no longer id order.
+        self._unsorted: Set[Tuple[Segment, Location]] = set()
         self._pages: Dict[Segment, Dict[Location, int]] = {
             segment: {location: 0 for location in Location} for segment in Segment
         }
+        self._location_pages: Dict[Location, int] = {location: 0 for location in Location}
         self.on_alloc: List[RegionCallback] = []
         self.on_touch: List[RegionCallback] = []
         self.on_free: List[RegionCallback] = []
@@ -63,6 +68,7 @@ class AddressSpace:
             region.touch(now)
         self._index(region)
         self._pages[segment][region.location] += region.pages
+        self._location_pages[region.location] += region.pages
         for callback in self.on_alloc:
             callback(region)
         return region
@@ -88,9 +94,18 @@ class AddressSpace:
             raise MemoryError_(
                 f"region {region.name!r} is already {location.value}"
             )
-        counts = self._pages[region.segment]
+        region_id = region.region_id
+        segment = region.segment
+        del self._buckets[(segment, region.location)][region_id]
+        bucket = self._buckets[(segment, location)]
+        if bucket and region_id < next(reversed(bucket)):
+            self._unsorted.add((segment, location))
+        bucket[region_id] = region
+        counts = self._pages[segment]
         counts[region.location] -= region.pages
         counts[location] += region.pages
+        self._location_pages[region.location] -= region.pages
+        self._location_pages[location] += region.pages
         region.location = location
 
     def free(self, region: PageRegion) -> None:
@@ -99,13 +114,14 @@ class AddressSpace:
         if region_id not in self._regions:
             raise MemoryError_(f"free of unknown region {region.name!r}")
         del self._regions[region_id]
-        del self._by_segment[region.segment][region_id]
+        del self._buckets[(region.segment, region.location)][region_id]
         family = (region.name, region.segment)
         members = self._families[family]
         del members[region_id]
         if not members:
             del self._families[family]
         self._pages[region.segment][region.location] -= region.pages
+        self._location_pages[region.location] -= region.pages
         region.mark_freed()
         for callback in self.on_free:
             callback(region)
@@ -113,7 +129,7 @@ class AddressSpace:
     def free_segment(self, segment: Segment) -> int:
         """Free every region in ``segment``; return pages released."""
         released = 0
-        for region in list(self._by_segment[segment].values()):
+        for region in self.regions(segment):
             released += region.pages
             self.free(region)
         return released
@@ -128,7 +144,7 @@ class AddressSpace:
     def _index(self, region: PageRegion) -> None:
         region_id = region.region_id
         self._regions[region_id] = region
-        self._by_segment[region.segment][region_id] = region
+        self._buckets[(region.segment, region.location)][region_id] = region
         self._families.setdefault((region.name, region.segment), {})[region_id] = region
 
     # ------------------------------------------------------------------
@@ -153,14 +169,42 @@ class AddressSpace:
     # Introspection
     # ------------------------------------------------------------------
 
-    def regions(self, segment: Optional[Segment] = None) -> Iterator[PageRegion]:
-        """Iterate live regions in ascending id order, optionally one segment.
+    def regions(
+        self,
+        segment: Optional[Segment] = None,
+        location: Optional[Location] = None,
+    ) -> Iterator[PageRegion]:
+        """Iterate live regions in ascending id order.
 
-        Iterates a snapshot, so callers may allocate, split or free
-        while iterating.
+        Optionally restricted to one segment and/or one location.
+        Iterates a snapshot, so callers may allocate, split, relocate
+        or free while iterating.
         """
-        source = self._regions if segment is None else self._by_segment[segment]
-        yield from list(source.values())
+        if segment is None and location is None:
+            return iter(list(self._regions.values()))
+        segments = Segment if segment is None else (segment,)
+        locations = Location if location is None else (location,)
+        found = [
+            region
+            for each in segments
+            for where in locations
+            for region in self._bucket(each, where)
+        ]
+        if len(segments) * len(locations) > 1:
+            # Merge the buckets' sorted runs back into id order.
+            found.sort(key=lambda region: region.region_id)
+        return iter(found)
+
+    def _bucket(self, segment: Segment, location: Location) -> List[PageRegion]:
+        """Snapshot of one (segment, location) bucket in id order."""
+        key = (segment, location)
+        bucket = self._buckets[key]
+        if key in self._unsorted:
+            self._unsorted.discard(key)
+            ordered = sorted(bucket.items())
+            bucket.clear()
+            bucket.update(ordered)
+        return list(bucket.values())
 
     def get(self, region_id: int) -> PageRegion:
         """Look a region up by id."""
@@ -194,17 +238,18 @@ class AddressSpace:
     @property
     def local_pages(self) -> int:
         """Pages currently resident in node DRAM."""
-        return self.pages(location=Location.LOCAL)
+        return self._location_pages[Location.LOCAL]
 
     @property
     def remote_pages(self) -> int:
         """Pages currently offloaded to the pool."""
-        return self.pages(location=Location.REMOTE)
+        return self._location_pages[Location.REMOTE]
 
     @property
     def total_pages(self) -> int:
         """All live pages regardless of location."""
-        return self.pages()
+        pages = self._location_pages
+        return pages[Location.LOCAL] + pages[Location.REMOTE]
 
     def __len__(self) -> int:
         return len(self._regions)

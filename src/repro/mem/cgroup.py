@@ -117,10 +117,10 @@ class Cgroup:
         return self.space.total_pages
 
     def remote_regions(self, segment: Optional[Segment] = None) -> List[PageRegion]:
-        return [r for r in self.space.regions(segment) if r.is_remote]
+        return list(self.space.regions(segment, Location.REMOTE))
 
     def local_regions(self, segment: Optional[Segment] = None) -> List[PageRegion]:
-        return [r for r in self.space.regions(segment) if r.is_local]
+        return list(self.space.regions(segment, Location.LOCAL))
 
     # ------------------------------------------------------------------
     # Observer plumbing

@@ -40,12 +40,19 @@ class Segment(enum.Enum):
     INIT = "init"
     EXEC = "exec"
 
+    # Members are singletons compared by identity, so identity hashing
+    # is exact; Enum's default hashes the name in Python code, which
+    # dominated the address space's (segment, location) index updates.
+    __hash__ = object.__hash__
+
 
 class Location(enum.Enum):
     """Where a region's pages currently live."""
 
     LOCAL = "local"
     REMOTE = "remote"
+
+    __hash__ = object.__hash__  # see Segment
 
 
 class PageRegion:

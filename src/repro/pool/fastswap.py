@@ -197,7 +197,7 @@ class Fastswap:
 
     def regions_in_domain(self, cgroup: Cgroup, domain: object) -> List[PageRegion]:
         """Live remote regions of ``cgroup`` resident in ``domain``."""
-        return [r for r in cgroup.remote_regions() if not r.freed]
+        return cgroup.remote_regions()
 
     def drop_pool(self, domain: object, pages: int) -> None:
         """Destroy ``pages`` pages in the crashed domain's pool."""

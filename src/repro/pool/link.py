@@ -10,6 +10,7 @@ manifests.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -79,9 +80,18 @@ class Link:
             LinkDirection.OUT: 0.0,
             LinkDirection.IN: 0.0,
         }
-        self._transfers: Dict[LinkDirection, List[Tuple[float, int]]] = {
+        # Per direction: completion times of the non-empty transfers,
+        # non-decreasing because each starts no earlier than the last
+        # one's completion, and the running byte total after each
+        # (element 0 is the empty prefix), so a windowed byte count is
+        # two bisects and an exact integer subtraction.
+        self._completions: Dict[LinkDirection, List[float]] = {
             LinkDirection.OUT: [],
             LinkDirection.IN: [],
+        }
+        self._cumulative_bytes: Dict[LinkDirection, List[int]] = {
+            LinkDirection.OUT: [0],
+            LinkDirection.IN: [0],
         }
 
     def service_time(self, pages: int) -> float:
@@ -108,7 +118,9 @@ class Link:
         completion = start + self.service_time(pages)
         self._busy_until[direction] = completion
         if pages > 0:
-            self._transfers[direction].append((completion, pages * PAGE_SIZE))
+            self._completions[direction].append(completion)
+            cumulative = self._cumulative_bytes[direction]
+            cumulative.append(cumulative[-1] + pages * PAGE_SIZE)
             if self.tracer is not None:
                 subject = (
                     f"{self.name}:{direction.value}" if self.name else direction.value
@@ -134,11 +146,13 @@ class Link:
         until: float = float("inf"),
     ) -> int:
         """Total bytes whose transfer completed in [since, until]."""
-        return sum(
-            size
-            for completion, size in self._transfers[direction]
-            if since <= completion <= until
-        )
+        if not since <= until:
+            return 0
+        completions = self._completions[direction]
+        cumulative = self._cumulative_bytes[direction]
+        first = bisect_left(completions, since)
+        last = bisect_right(completions, until)
+        return cumulative[last] - cumulative[first]
 
     def average_bandwidth(
         self, direction: LinkDirection, since: float, until: float

@@ -106,6 +106,9 @@ class TieredFastswap(Fastswap):
         # at issue time; moved to _residence when the write-out lands.
         self._routes: Dict[int, tuple] = {}
         self._residence: Dict[int, _Residence] = {}
+        # The residences above the bottom tier: what the demotion
+        # daemon works on, kept so it never scans the whole pool.
+        self._upper: Dict[int, _Residence] = {}
         self.tier_stats: Dict[int, TierLedger] = {
             tier.level: TierLedger() for tier in hierarchy.tiers
         }
@@ -202,9 +205,8 @@ class TieredFastswap(Fastswap):
         shard = self.hierarchy.shard(tier_index, shard_index)
         shard.pending_pages = max(0, shard.pending_pages - pending)
         self.hierarchy.store_at(tier_index, shard_index, region.pages)
-        self._residence[region.region_id] = _Residence(
-            tier_index, shard_index, region, self.engine.now
-        )
+        placement = _Residence(tier_index, shard_index, region, self.engine.now)
+        self._residence[region.region_id] = placement
         level = self.hierarchy.tiers[tier_index].level
         self.tier_stats[level].placed += region.pages
         if self._emit_tier and self.tracer is not None:
@@ -217,6 +219,7 @@ class TieredFastswap(Fastswap):
                 pages=region.pages,
             )
         if tier_index < self._bottom_index():
+            self._upper[region.region_id] = placement
             self._kick_daemon()
 
     def _discard_route(self, region: PageRegion, reason: str) -> None:
@@ -236,6 +239,7 @@ class TieredFastswap(Fastswap):
 
     def _release_recalled(self, cgroup: Cgroup, region: PageRegion) -> None:
         placement = self._residence.pop(region.region_id)
+        self._upper.pop(region.region_id, None)
         self.hierarchy.release_at(
             placement.tier_index, placement.shard_index, region.pages
         )
@@ -254,6 +258,7 @@ class TieredFastswap(Fastswap):
 
     def _release_freed(self, region: PageRegion) -> None:
         placement = self._residence.pop(region.region_id)
+        self._upper.pop(region.region_id, None)
         self.hierarchy.release_at(
             placement.tier_index, placement.shard_index, region.pages
         )
@@ -274,6 +279,7 @@ class TieredFastswap(Fastswap):
         placement = self._residence.pop(region.region_id, None)
         if placement is None:
             return
+        self._upper.pop(region.region_id, None)
         level = self.hierarchy.tiers[placement.tier_index].level
         self.tier_stats[level].lost += region.pages
         if self._emit_tier and self.tracer is not None:
@@ -301,8 +307,6 @@ class TieredFastswap(Fastswap):
         tier_index, shard_index = domain
         out = []
         for region in cgroup.remote_regions():
-            if region.freed:
-                continue
             placement = self._residence.get(region.region_id)
             if (
                 placement is not None
@@ -330,10 +334,7 @@ class TieredFastswap(Fastswap):
         Re-kicked on recalls/frees too: those open room in lower tiers
         that may unblock a previously-stuck demotion.
         """
-        if len(self.hierarchy.tiers) < 2 or self._daemon is not None:
-            return
-        bottom = self._bottom_index()
-        if any(p.tier_index < bottom for p in self._residence.values()):
+        if self._daemon is None and self._upper:
             self._daemon = PeriodicTask(
                 self.engine,
                 self.hierarchy.topology.demote_tick_s,
@@ -350,9 +351,7 @@ class TieredFastswap(Fastswap):
         now = self.engine.now
         topology = self.hierarchy.topology
         bottom = self._bottom_index()
-        upper = [
-            p for p in self._residence.values() if p.tier_index < bottom
-        ]
+        upper = list(self._upper.values())
         if not upper:
             self._stop_daemon()
             return
@@ -400,6 +399,8 @@ class TieredFastswap(Fastswap):
                 )
             placement.tier_index = dst_tier_index
             placement.shard_index = dst_shard_index
+            if dst_tier_index == bottom:
+                del self._upper[region.region_id]
             placement.placed_at = now
             budget -= pages
             progressed = True

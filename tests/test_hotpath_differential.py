@@ -1,14 +1,19 @@
 """Differential tests: each incremental hot-path structure against the scan it replaced.
 
-* ``AddressSpace`` indexes and page counters vs a naive scan of the live
-  regions, over random allocate/split/touch/free/offload/fetch sequences.
+* ``AddressSpace`` indexes, (segment, location) buckets and page
+  counters vs a naive scan of the live regions, over random
+  allocate/split/touch/free/offload/fetch sequences.
 * ``FunctionProfiler``'s sorted-history percentile vs ``np.percentile``
   over the same samples, compared with ``==``.
 * ``TmoPolicy``'s heap-picked victims vs a full sort of the candidates.
+* ``Link.bytes_moved``'s prefix sums vs the windowed sum over every
+  transfer.
+* ``TieredFastswap``'s upper-tier set vs a filter of every residence.
 """
 
 from __future__ import annotations
 
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +24,11 @@ from repro.core.profiler import FunctionProfiler, sorted_percentile
 from repro.mem.cgroup import Cgroup
 from repro.mem.node import ComputeNode
 from repro.mem.page import Location, Segment
+from repro.pool.link import Link, LinkConfig, LinkDirection
+from repro.pool.tier import TieredPool, TierSpec, TierTopology
+from repro.sim.engine import Engine
+from repro.tier.datapath import TieredFastswap
+from repro.units import PAGE_SIZE
 
 from tests import proptest as pt
 
@@ -51,13 +61,30 @@ def naive_pages(live, segment=None, location=None):
     )
 
 
-def check_space_against_scan(space, live):
+def check_space_against_scan(space, live, freed=()):
     ordered = sorted(live, key=lambda r: r.region_id)
     assert list(space.regions()) == ordered
     ids = [r.region_id for r in space.regions()]
     assert ids == sorted(ids)
     for segment in Segment:
         assert list(space.regions(segment)) == [r for r in ordered if r.segment is segment]
+    for segment in (None,) + tuple(Segment):
+        for location in Location:
+            assert list(space.regions(segment, location)) == [
+                r
+                for r in ordered
+                if (segment is None or r.segment is segment) and r.location is location
+            ]
+    # Every live region sits in exactly one bucket; no freed one in any.
+    bucketed = [
+        region
+        for segment in Segment
+        for location in Location
+        for region in space.regions(segment, location)
+    ]
+    assert sorted(r.region_id for r in bucketed) == [r.region_id for r in ordered]
+    assert not any(region.freed for region in bucketed)
+    assert not {r.region_id for r in freed} & {r.region_id for r in bucketed}
     for name in NAMES:
         assert space.find(name) == [r for r in ordered if r.name == name]
         for segment in Segment:
@@ -80,6 +107,7 @@ class TestAddressSpaceIndexes:
         now, node, cgroup = fresh_cgroup()
         space = cgroup.space
         live = []
+        freed = []
         for step, (op, pick, size) in enumerate(ops):
             now[0] = float(step)
             local = [r for r in live if r.is_local]
@@ -95,12 +123,15 @@ class TestAddressSpaceIndexes:
             elif op == "touch" and local:
                 cgroup.touch(local[pick % len(local)])
             elif op == "free" and live:
-                cgroup.free(live.pop(pick % len(live)))
+                freed.append(live.pop(pick % len(live)))
+                cgroup.free(freed[-1])
             elif op == "offload" and local:
                 cgroup.mark_offloaded(local[pick % len(local)])
             elif op == "fetch" and remote:
                 cgroup.mark_fetched(remote[pick % len(remote)])
-            check_space_against_scan(space, live)
+            check_space_against_scan(space, live, freed)
+            assert cgroup.local_regions() == list(space.regions(location=Location.LOCAL))
+            assert cgroup.remote_regions() == list(space.regions(location=Location.REMOTE))
             assert node.local_pages == naive_pages(live, location=Location.LOCAL)
 
 
@@ -169,7 +200,8 @@ def sort_based_victims(cgroup, budget_pages):
     candidates = [
         region
         for segment in (Segment.RUNTIME, Segment.INIT)
-        for region in cgroup.local_regions(segment)
+        for region in cgroup.space.regions(segment)
+        if region.is_local
     ]
     candidates.sort(
         key=lambda r: (r.last_access if r.last_access is not None else -1.0, r.region_id)
@@ -230,3 +262,153 @@ class TestTmoVictimsMatchSort:
                 assert victim.region_id not in before
                 assert victim.name == parent.name
                 assert parent.pages == before[region_id][1] - pages
+
+
+# ----------------------------------------------------------------------
+# Link byte accounting
+# ----------------------------------------------------------------------
+
+_LINK_OPS = pt.lists(
+    pt.tuples(
+        pt.sampled_from(
+            ["out", "out", "in", "in", "empty", "degrade", "restore", "down", "up"]
+        ),
+        pt.floats(min_value=0.0, max_value=0.05),
+        pt.integers(min_value=1, max_value=4096),
+    ),
+    min_size=0,
+    max_size=60,
+)
+
+
+def naive_bytes_moved(transfers, direction, since, until):
+    return sum(
+        size
+        for moved, completion, size in transfers
+        if moved is direction and since <= completion <= until
+    )
+
+
+class TestLinkBytesMatchWindowedSum:
+    @pt.settings(max_examples=200)
+    @pt.given(_LINK_OPS, pt.integers(min_value=0, max_value=1 << 30))
+    def test_bytes_moved_equals_windowed_sum(self, ops, seed):
+        rng = random.Random(seed)
+        link = Link(LinkConfig.rdma_100g())
+        transfers = []
+        for op, at, size in ops:
+            # Request times need not be monotone: completions still are.
+            if op in ("out", "in", "empty"):
+                direction = LinkDirection.IN if op == "in" else LinkDirection.OUT
+                pages = 0 if op == "empty" else size
+                _, completion = link.transfer(at, pages, direction)
+                if pages:
+                    transfers.append((direction, completion, pages * PAGE_SIZE))
+            elif op == "degrade":
+                link.set_degradation(size / 4096)
+            elif op == "restore":
+                link.set_degradation(1.0)
+            else:
+                link.set_up(op == "up")
+        completions = [completion for _, completion, _ in transfers]
+        horizon = max(completions, default=0.05)
+        bounds = [0.0, -1.0, float("inf")] + completions
+        bounds += [rng.uniform(0.0, horizon) for _ in range(8)]
+        for direction in LinkDirection:
+            assert link.bytes_moved(direction) == naive_bytes_moved(
+                transfers, direction, 0.0, float("inf")
+            )
+            for _ in range(40):
+                since, until = rng.choice(bounds), rng.choice(bounds)
+                assert link.bytes_moved(direction, since, until) == naive_bytes_moved(
+                    transfers, direction, since, until
+                )
+            for completion in completions:
+                # Inclusive ends, an open end and an empty (since > until) window.
+                for since, until in ((completion, completion), (0.0, completion),
+                                     (completion, float("inf")), (completion, -1.0)):
+                    assert link.bytes_moved(direction, since, until) == (
+                        naive_bytes_moved(transfers, direction, since, until)
+                    )
+
+
+# ----------------------------------------------------------------------
+# Tiered pool upper-tier set
+# ----------------------------------------------------------------------
+
+_TIER_OPS = pt.lists(
+    pt.tuples(
+        pt.sampled_from(
+            ["alloc", "offload", "writeback", "fault", "free", "run", "demote", "crash"]
+        ),
+        pt.integers(min_value=0, max_value=1 << 16),
+        pt.integers(min_value=1, max_value=384),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def three_tier(engine):
+    """Small upper tiers, so offloads spill and demotions block."""
+    topology = TierTopology(
+        tiers=[
+            TierSpec(name="near", capacity_mib=1.0, shards=2, link=LinkConfig.cxl()),
+            TierSpec(name="mid", capacity_mib=2.0, shards=1, link=LinkConfig.cxl()),
+            TierSpec(name="far", capacity_mib=64.0, shards=2),
+        ],
+        demote_after_s=2.0,
+        demote_tick_s=0.5,
+        demote_batch_mib=1.0,
+    )
+    pool = TieredPool(lambda: engine.now, topology, default_capacity_mib=64.0)
+    return TieredFastswap(engine, pool)
+
+
+def check_upper_against_scan(fastswap):
+    bottom = len(fastswap.hierarchy.tiers) - 1
+    expected = [p for p in fastswap._residence.values() if p.tier_index < bottom]
+    assert list(fastswap._upper.values()) == expected
+    assert list(fastswap._upper) == [p.region.region_id for p in expected]
+
+
+class TestTierUpperSetMatchesScan:
+    @pt.settings(max_examples=150)
+    @pt.given(_TIER_OPS)
+    def test_upper_set_equals_filter(self, ops):
+        engine = Engine()
+        node = ComputeNode(clock=lambda: engine.now, capacity_mib=1 << 20)
+        cgroup = Cgroup("tiered", node, clock=lambda: engine.now)
+        fastswap = three_tier(engine)
+        fastswap.attach(cgroup)
+        hints = (None, "near", "far")
+        for op, pick, size in ops:
+            live = list(cgroup.space.regions())
+            local = [r for r in live if r.is_local]
+            remote = [r for r in live if r.is_remote]
+            if op == "alloc":
+                cgroup.allocate(f"r{pick % 5}", Segment.INIT, size)
+            elif op == "offload" and local:
+                start = pick % len(local)
+                chosen = local[start:start + 1 + size % 3]
+                fastswap.offload(cgroup, chosen, tier_hint=hints[pick % 3])
+            elif op == "writeback" and local:
+                fastswap.writeback(cgroup, [local[pick % len(local)]], hints[pick % 3])
+            elif op == "fault" and remote:
+                fastswap.fault(cgroup, [remote[pick % len(remote)]])
+            elif op == "free" and live:
+                cgroup.free(live[pick % len(live)])
+            elif op == "run":
+                engine.run(until=engine.now + size / 64)
+            elif op == "demote":
+                fastswap._demote_tick()
+            elif op == "crash":
+                domains = fastswap.crash_domains()
+                domain = domains[pick % len(domains)]
+                lost = fastswap.declare_lost(
+                    cgroup, fastswap.regions_in_domain(cgroup, domain)
+                )
+                fastswap.drop_pool(domain, lost)
+            check_upper_against_scan(fastswap)
+        engine.run(until=engine.now + 60.0)
+        check_upper_against_scan(fastswap)
