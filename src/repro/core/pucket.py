@@ -37,18 +37,23 @@ class Pucket:
     def add_inactive(self, region: PageRegion) -> None:
         self._inactive[region.region_id] = region
 
-    def pop_inactive(self, region: PageRegion) -> bool:
-        """Remove from the inactive list; True if it was there."""
-        return self._inactive.pop(region.region_id, None) is not None
+    def take(self, region: PageRegion) -> Optional[str]:
+        """Remove ``region`` from the inactive list or the offloaded set.
+
+        Returns which of the two held it (``"inactive"`` or
+        ``"offloaded"``), or None when neither did.
+        """
+        region_id = region.region_id
+        if self._inactive.pop(region_id, None) is not None:
+            return "inactive"
+        if self._offloaded.pop(region_id, None) is not None:
+            return "offloaded"
+        return None
 
     def note_offloaded(self, region: PageRegion) -> None:
         """Track a member that went remote (it stays a Pucket page)."""
         self._inactive.pop(region.region_id, None)
         self._offloaded[region.region_id] = region
-
-    def pop_offloaded(self, region: PageRegion) -> bool:
-        """Remove from the offloaded set; True if it was there."""
-        return self._offloaded.pop(region.region_id, None) is not None
 
     def forget(self, region: PageRegion) -> None:
         """Drop a freed region from all lists."""
@@ -205,18 +210,19 @@ class ContainerMemoryState:
         layer has already faulted back in). ``was_remote`` distinguishes
         a true remote recall from an aborted in-flight offload.
         """
+        if region in self.hot_pool:
+            # Already hot. The hot pool shares no region with any
+            # Pucket's inactive or offloaded set, so neither holds it.
+            return
         for pucket in (self.runtime_pucket, self.init_pucket):
-            if pucket.pop_inactive(region):
-                self.hot_pool.add(region, pucket)
-                self._emit_move(EventKind.PUCKET_PROMOTE, pucket, region, "inactive")
-                return
-            if pucket.pop_offloaded(region):
-                if was_remote:
+            src = pucket.take(region)
+            if src is not None:
+                if was_remote and src == "offloaded":
                     self.recall_counts[pucket.name] += 1
                 self.hot_pool.add(region, pucket)
-                self._emit_move(EventKind.PUCKET_PROMOTE, pucket, region, "offloaded")
+                self._emit_move(EventKind.PUCKET_PROMOTE, pucket, region, src)
                 return
-        # Already hot, or an untracked (exec) region: nothing to do.
+        # An untracked (exec or unsealed split-off) region: nothing to do.
 
     def on_freed(self, region: PageRegion) -> None:
         """Forget a freed region everywhere."""

@@ -205,17 +205,20 @@ class Container:
         touched = self._request_working_set()
         remote = [region for region in touched if region.is_remote]
         remote_ids = {region.region_id for region in remote}
-        recalled_pages = sum(region.pages for region in remote)
+        recalled_pages = 0
         stall = 0.0
-        for owner, victims in self._group_by_owner(remote).items():
-            stall += self.platform.fastswap.fault(
-                owner, victims, cpu_share=self.profile.cpu_share
-            )
+        if remote:
+            recalled_pages = sum(region.pages for region in remote)
+            for owner, victims in self._group_by_owner(remote).items():
+                stall += self.platform.fastswap.fault(
+                    owner, victims, cpu_share=self.profile.cpu_share
+                )
+        shared = self._shared_runtime
+        on_region_touched = self.platform.policy.on_region_touched
         for region in touched:
-            self._owner_cgroup(region).touch(region)
-            self.platform.policy.on_region_touched(
-                self, region, was_remote=region.region_id in remote_ids
-            )
+            owner = self.cgroup if shared is None else self._owner_cgroup(region)
+            owner.touch(region)
+            on_region_touched(self, region, was_remote=region.region_id in remote_ids)
         self._exec_region = self.cgroup.allocate(
             "exec/scratch", Segment.EXEC, pages_from_mib(self.profile.exec_mib)
         )
@@ -266,19 +269,26 @@ class Container:
         Gradual offloaders split regions into slices; semantically a
         request that touches a buffer touches all of its pages, so the
         working set must cover every live slice of the same region.
+        Siblings live in the region's owner cgroup (the shared runtime
+        for shared regions). Only families with more than one live
+        member are expanded; the rest contribute just their base.
         """
-        seen = {}
-        names = set()
+        expanded = {}
+        split = {}
+        own_space = self.cgroup.space
+        shared = self._shared_runtime
         for region in regions:
-            seen[region.region_id] = region
-            names.add((region.name, region.segment))
-        # Sorted iteration: set order depends on per-process str hash
-        # salting, which would make the expansion (and hence the event
-        # stream) differ across processes for the same seed.
-        for name, segment in sorted(names, key=lambda ns: (ns[0], ns[1].value)):
-            for sibling in self.cgroup.space.find(name, segment):
-                seen.setdefault(sibling.region_id, sibling)
-        return list(seen.values())
+            expanded[region.region_id] = region
+            space = own_space if shared is None else self._owner_cgroup(region).space
+            family = (region.name, region.segment)
+            if space.family_size(*family) > 1:
+                split[family] = space
+        # Siblings follow in (name, segment) order, the order every
+        # pinned digest and fingerprint was recorded with.
+        for family in sorted(split, key=lambda ns: (ns[0], ns[1].value)):
+            for sibling in split[family].find(*family):
+                expanded.setdefault(sibling.region_id, sibling)
+        return list(expanded.values())
 
     def _complete(
         self,

@@ -50,7 +50,9 @@ class Controller:
         shed the invocation), in which case None is returned.
         """
         spec = self.platform.function(invocation.function)
-        containers = self.containers_of(invocation.function)
+        # The raw fleet, not containers_of: an IDLE container is alive,
+        # so only the queueable filter needs the liveness check.
+        containers = self._containers.get(invocation.function, ())
         warm = [c for c in containers if c.state is ContainerState.IDLE]
         if warm:
             # Most-recently idle first: concentrates load on few
@@ -59,7 +61,9 @@ class Controller:
             target.enqueue(invocation)
             return target
         queue_bound = self.platform.config.max_queue_per_container
-        queueable = [c for c in containers if len(c.pending) < queue_bound]
+        queueable = [
+            c for c in containers if c.alive and len(c.pending) < queue_bound
+        ]
         if queueable:
             target = min(queueable, key=lambda c: (len(c.pending), c.created_at))
             target.enqueue(invocation)

@@ -382,7 +382,6 @@ class ServerlessPlatform:
         fixed-length trace pass the trace duration, matching how the
         paper reports average memory over the measurement hour.
         """
-        samples = self.node.usage_samples()
         if window is None:
             average = self.node.average_pages(self.engine.now)
             peak = float(self.node.peak_pages)
@@ -390,7 +389,7 @@ class ServerlessPlatform:
             average = self.node.average_pages_between(0.0, window)
             peak = self.node.peak_pages_between(0.0, window)
         return MemoryTimeline(
-            points=[(t, v) for t, v in samples],
+            points=self.node.usage_samples(),
             average_pages=average,
             peak_pages=peak,
         )

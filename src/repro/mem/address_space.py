@@ -225,6 +225,14 @@ class AddressSpace:
         found.sort(key=lambda region: region.region_id)
         return found
 
+    def family_size(self, name: str, segment: Segment) -> int:
+        """Number of live regions named ``name`` in ``segment``.
+
+        More than one means the region was split into slices.
+        """
+        family = self._families.get((name, segment))
+        return 0 if family is None else len(family)
+
     def pages(
         self,
         segment: Optional[Segment] = None,

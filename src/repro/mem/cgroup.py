@@ -40,7 +40,6 @@ class Cgroup:
         # release pool pages; wired up by Fastswap at attach time.
         self.on_remote_freed: List[Callable[[PageRegion], None]] = []
         self.space.on_alloc.append(self._handle_alloc)
-        self.space.on_touch.append(self._handle_touch)
         self.space.on_free.append(self._handle_free)
 
     # ------------------------------------------------------------------
@@ -58,6 +57,7 @@ class Cgroup:
                 f"touch of remote region {region.name!r}; fault it in first"
             )
         self.space.touch(region, now=self._clock())
+        self.mglru.note_access(region)
 
     def free(self, region: PageRegion) -> None:
         self.space.free(region)
@@ -129,9 +129,6 @@ class Cgroup:
     def _handle_alloc(self, region: PageRegion) -> None:
         self.node.add_local(region.pages, owner=self.name)
         self.mglru.insert(region)
-
-    def _handle_touch(self, region: PageRegion) -> None:
-        self.mglru.note_access(region)
 
     def _handle_free(self, region: PageRegion) -> None:
         if region.is_local:

@@ -89,12 +89,12 @@ class TimeWeightedAccumulator:
         if end <= start:
             raise ValueError(f"window must have positive span: [{start}, {end}]")
         area = 0.0
-        for index, (time, value) in enumerate(self._samples):
-            next_time = (
-                self._samples[index + 1][0]
-                if index + 1 < len(self._samples)
-                else max(end, self._last_time)
-            )
+        # Each change point holds until the next one; the last holds
+        # through the window's end.
+        samples = self._samples
+        for (time, value), (next_time, _) in zip(samples, samples[1:] + [(end, 0.0)]):
+            if time >= end:
+                break  # this and every later piece starts past the window
             lo = max(time, start)
             hi = min(next_time, end)
             if hi > lo:

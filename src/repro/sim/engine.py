@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.trace import EventKind
@@ -47,7 +47,10 @@ class Event:
     """A scheduled callback.
 
     Events order by ``(time, seq)``: the sequence number makes ordering
-    among same-timestamp events FIFO and therefore deterministic.
+    among same-timestamp events FIFO and therefore deterministic. The
+    engine's heap holds ``(time, seq, event)`` tuples, so ``heapq``
+    compares floats and ints in C; ``seq`` is unique per engine, so
+    the tuple comparison never reaches the event itself.
 
     A slotted plain class rather than a dataclass: millions of these
     live on the heap during a long sweep, and ``__slots__`` removes
@@ -105,7 +108,8 @@ class Engine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._heap: list[Event] = []
+        # (time, seq, event) entries: C-level tuple comparison.
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
@@ -143,8 +147,9 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        event = Event(time=time, seq=next(self._seq), callback=callback, name=name)
-        heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, seq, callback, name)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def _live_head(self) -> Optional[Event]:
@@ -156,7 +161,7 @@ class Engine:
         """
         heap = self._heap
         while heap:
-            head = heap[0]
+            head = heap[0][2]
             if not head.cancelled:
                 return head
             heappop(heap)

@@ -16,8 +16,9 @@ about (§3 of the paper):
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -123,9 +124,16 @@ class UniformInit(InitLayout):
         self, state: InitState, rng: np.random.Generator
     ) -> List[PageRegion]:
         touched = list(state.hot)
-        for region in state.tail:
-            if self.tail_touch_prob > 0 and rng.random() < self.tail_touch_prob:
-                touched.append(region)
+        tail = state.tail
+        if tail and self.tail_touch_prob > 0:
+            # One vector draw: the same doubles, in the same order, and
+            # the same generator state afterwards as one scalar
+            # ``rng.random()`` per tail chunk.
+            coins = rng.random(len(tail))
+            prob = self.tail_touch_prob
+            touched.extend(
+                region for region, coin in zip(tail, coins.tolist()) if coin < prob
+            )
         return touched
 
     @property
@@ -246,9 +254,15 @@ class WorkloadProfile:
         """Draw one service time (lognormal around the mean)."""
         if self.exec_time_cv <= 0:
             return self.exec_time_s
+        mu, sigma = self._lognormal_params
+        return float(rng.lognormal(mu, sigma))
+
+    @functools.cached_property
+    def _lognormal_params(self) -> Tuple[float, float]:
+        """``(mu, sigma)`` of the service-time lognormal, computed once."""
         sigma = float(np.sqrt(np.log(1.0 + self.exec_time_cv**2)))
         mu = float(np.log(self.exec_time_s)) - sigma**2 / 2.0
-        return float(rng.lognormal(mu, sigma))
+        return mu, sigma
 
     @property
     def base_footprint_mib(self) -> float:

@@ -148,7 +148,8 @@ def given(*strategies: Strategy) -> Callable[[Callable[..., Any]], Callable[...,
     def decorator(func: Callable[..., Any]) -> Callable[..., Any]:
         @functools.wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> None:
-            cfg: Settings = getattr(func, "_proptest_settings", Settings())
+            # ``settings`` sits above ``given``, so it tags this wrapper.
+            cfg: Settings = getattr(wrapper, "_proptest_settings", Settings())
             for example in range(cfg.max_examples):
                 # One independent, reproducible stream per example.
                 rng = random.Random(f"{cfg.seed}:{example}")

@@ -164,6 +164,17 @@ class TestReports:
         assert report.runtime_init_barrier_s > 0
         assert report.init_exec_barrier_s > 0
 
+    def test_request_faulting_offloaded_init_pages_counts_recalls(self):
+        # Heartbeats touch only the runtime hot core, so init recalls
+        # come from requests that found their init pages remote.
+        platform, policy = build("web", seed=3)
+        for index in range(12):
+            platform.submit("web", index * 40.0)
+        platform.engine.run()
+        [report] = policy.reports
+        assert report.init_recalls > 0
+        assert sum(record.recalled_pages for record in platform.records) > 0
+
     def test_memory_fully_freed_after_reclaim(self):
         platform, policy = build("json", keep_alive_s=60.0)
         platform.submit("json", 0.0)

@@ -20,8 +20,8 @@ class TestPucket:
         pucket.add_inactive(region)
         assert pucket.contains_inactive(region)
         assert pucket.inactive_pages == 8
-        assert pucket.pop_inactive(region)
-        assert not pucket.pop_inactive(region)
+        assert pucket.take(region) == "inactive"
+        assert pucket.take(region) is None
 
     def test_offloaded_tracking(self, cgroup):
         pucket = Pucket("init", Segment.INIT)
@@ -31,6 +31,8 @@ class TestPucket:
         assert not pucket.contains_inactive(region)
         assert pucket.contains_offloaded(region)
         assert pucket.offloaded_pages == 8
+        assert pucket.take(region) == "offloaded"
+        assert not pucket.contains_offloaded(region)
 
     def test_forget_clears_both(self, cgroup):
         pucket = Pucket("init", Segment.INIT)

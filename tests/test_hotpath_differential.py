@@ -9,18 +9,36 @@
 * ``Link.bytes_moved``'s prefix sums vs the windowed sum over every
   transfer.
 * ``TieredFastswap``'s upper-tier set vs a filter of every residence.
+* ``Engine``'s ``(time, seq, event)`` heap vs sorting the live events
+  by ``(time, seq)``, over random schedule/cancel/step sequences.
+* ``UniformInit.request_regions``' one vector draw vs one scalar draw
+  per tail chunk (same regions, same generator state), and the cached
+  service-time lognormal parameters vs the per-call formula.
+* ``Container._expand_families`` vs sorting every touched family and
+  listing it with ``space.find``.
+* ``Controller.dispatch`` over the raw fleet vs over ``containers_of``.
+* ``ContainerMemoryState.on_touched``'s hot-first return vs the
+  four-pop walk over both Puckets, with the hot pool disjoint from
+  every inactive and offloaded set after each step.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
+from repro.baselines import NoOffloadPolicy
 from repro.baselines.tmo import TmoPolicy
 from repro.core.config import FaaSMemConfig
 from repro.core.profiler import FunctionProfiler, sorted_percentile
+from repro.core.pucket import ContainerMemoryState
+from repro.faas import PlatformConfig, ServerlessPlatform
+from repro.faas.container import ContainerState
+from repro.faas.controller import Controller
+from repro.faas.request import Invocation
 from repro.mem.cgroup import Cgroup
 from repro.mem.node import ComputeNode
 from repro.mem.page import Location, Segment
@@ -29,6 +47,8 @@ from repro.pool.tier import TieredPool, TierSpec, TierTopology
 from repro.sim.engine import Engine
 from repro.tier.datapath import TieredFastswap
 from repro.units import PAGE_SIZE
+from repro.workloads import all_benchmarks, get_profile
+from repro.workloads.profile import InitState, UniformInit
 
 from tests import proptest as pt
 
@@ -412,3 +432,401 @@ class TestTierUpperSetMatchesScan:
             check_upper_against_scan(fastswap)
         engine.run(until=engine.now + 60.0)
         check_upper_against_scan(fastswap)
+
+
+# ----------------------------------------------------------------------
+# Engine: (time, seq, event) heap vs a sort of the live events
+# ----------------------------------------------------------------------
+
+_ENGINE_OPS = pt.lists(
+    pt.tuples(
+        pt.sampled_from(["schedule", "schedule", "schedule_at", "cancel", "step"]),
+        pt.integers(min_value=0, max_value=1 << 16),
+        # Few distinct delays, so many events tie on their timestamp.
+        pt.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestEngineOrderMatchesSort:
+    @pt.settings(max_examples=200)
+    @pt.given(_ENGINE_OPS)
+    def test_execution_order_is_time_then_seq(self, ops):
+        engine = Engine()
+        # [time, label, event, cancelled before it ran], in schedule order.
+        scheduled = []
+        executed = []
+
+        def add(time, spawns):
+            label = len(scheduled)
+
+            def callback():
+                assert engine.now == time
+                executed.append(label)
+                if spawns:
+                    # A same-timestamp child ties with pending events.
+                    add(engine.now, False)
+
+            scheduled.append([time, label, engine.schedule_at(time, callback), False])
+
+        for op, pick, delay in ops:
+            if op == "schedule":
+                add(engine.now + delay, pick % 3 == 0)
+            elif op == "schedule_at" and pick % 4 >= engine.now:
+                add(float(pick % 4), False)
+            elif op == "cancel" and scheduled:
+                entry = scheduled[pick % len(scheduled)]
+                entry[2].cancel()
+                # Cancelling an event that already ran changes nothing.
+                entry[3] = entry[3] or entry[1] not in executed
+            elif op == "step":
+                engine.step()
+        engine.run()
+        # Every new event has time >= now and a larger seq than every
+        # earlier one, so the whole run executes in (time, seq) order.
+        assert [event.seq for _, _, event, _ in scheduled] == list(range(len(scheduled)))
+        expected = [
+            label
+            for time, label, event, cancelled in sorted(
+                scheduled, key=lambda entry: (entry[0], entry[2].seq)
+            )
+            if not cancelled
+        ]
+        assert executed == expected
+        assert engine.events_processed == len(executed)
+        assert engine.pending == 0
+
+
+# ----------------------------------------------------------------------
+# RNG: one vector draw vs the scalar loop; cached lognormal parameters
+# ----------------------------------------------------------------------
+
+
+def scalar_request_regions(layout, state, rng):
+    """The per-chunk scalar loop ``request_regions`` replaced."""
+    touched = list(state.hot)
+    for region in state.tail:
+        if layout.tail_touch_prob > 0 and rng.random() < layout.tail_touch_prob:
+            touched.append(region)
+    return touched
+
+
+def uncached_exec_time(profile, rng):
+    """``sample_exec_time`` computing its parameters on every call."""
+    if profile.exec_time_cv <= 0:
+        return profile.exec_time_s
+    sigma = float(np.sqrt(np.log(1.0 + profile.exec_time_cv**2)))
+    mu = float(np.log(profile.exec_time_s)) - sigma**2 / 2.0
+    return float(rng.lognormal(mu, sigma))
+
+
+class TestVectorDrawsMatchScalarLoop:
+    @pt.settings(max_examples=200)
+    @pt.given(
+        pt.integers(min_value=0, max_value=60),
+        pt.one_of(
+            pt.sampled_from([0.0, 1e-3, 0.05, 0.5, 1.0]),
+            pt.floats(min_value=0.0, max_value=1.0),
+        ),
+        pt.integers(min_value=0, max_value=1 << 30),
+        pt.integers(min_value=1, max_value=4),
+    )
+    def test_tail_coins_equal_scalar_draws(self, n_tail, prob, seed, requests):
+        layout = UniformInit(
+            hot_mib=1.0, cold_mib=0.0, tail_chunks=n_tail, tail_touch_prob=prob
+        )
+        state = InitState(hot=["hot"], tail=[f"tail-{i}" for i in range(n_tail)])
+        vector = np.random.default_rng(seed)
+        scalar = np.random.default_rng(seed)
+        for _ in range(requests):
+            got = layout.request_regions(state, vector)
+            assert got == scalar_request_regions(layout, state, scalar)
+            assert vector.bit_generator.state == scalar.bit_generator.state
+        assert vector.random() == scalar.random()
+
+    @pt.settings(max_examples=100)
+    @pt.given(
+        pt.sampled_from(sorted(all_benchmarks())),
+        pt.one_of(
+            pt.sampled_from([0.0, -0.5, 0.1, 1.0]),
+            pt.floats(min_value=0.0, max_value=3.0),
+        ),
+        pt.floats(min_value=1e-4, max_value=30.0),
+        pt.integers(min_value=0, max_value=1 << 30),
+    )
+    def test_cached_lognormal_equals_formula(self, benchmark, cv, mean_s, seed):
+        profile = replace(get_profile(benchmark), exec_time_cv=cv, exec_time_s=mean_s)
+        cached = np.random.default_rng(seed)
+        fresh = np.random.default_rng(seed)
+        for _ in range(3):
+            assert profile.sample_exec_time(cached) == uncached_exec_time(profile, fresh)
+        assert cached.bit_generator.state == fresh.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# Family expansion: only split families vs sorting every family
+# ----------------------------------------------------------------------
+
+
+def naive_expand_families(space, regions):
+    """Sort every touched family and list it with ``space.find``."""
+    seen = {}
+    names = set()
+    for region in regions:
+        seen[region.region_id] = region
+        names.add((region.name, region.segment))
+    for name, segment in sorted(names, key=lambda ns: (ns[0], ns[1].value)):
+        for sibling in space.find(name, segment):
+            seen.setdefault(sibling.region_id, sibling)
+    return list(seen.values())
+
+
+def warm_container():
+    """One idle json container on a platform that never offloads."""
+    platform = ServerlessPlatform(NoOffloadPolicy(), config=PlatformConfig(seed=5))
+    platform.register_function("json", get_profile("json"))
+    platform.submit("json", 0.0)
+    platform.engine.run(until=30.0)
+    [container] = platform.controller.all_containers()
+    return container
+
+
+_FAMILY_OPS = pt.lists(
+    pt.tuples(
+        pt.sampled_from(["alloc", "split", "split", "free", "expand"]),
+        pt.integers(min_value=0, max_value=1 << 16),
+        pt.integers(min_value=1, max_value=8),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestFamilyExpansionMatchesSortedFind:
+    @pt.settings(max_examples=60)
+    @pt.given(_FAMILY_OPS)
+    def test_expansion_equals_sorted_find(self, ops):
+        container = warm_container()
+        cgroup = container.cgroup
+        space = cgroup.space
+        names = ("runtime/hot", "init/hot", "b", "a")
+        # Start with split same-name families in both segments, so the
+        # (name, segment) sort has ties on the name to break.
+        for name in ("b", "a"):
+            for segment in (Segment.RUNTIME, Segment.INIT):
+                space.split(cgroup.allocate(name, segment, 4), 1)
+        for op, pick, size in ops:
+            live = list(space.regions())
+            if op == "alloc":
+                # Same names in two segments: the sort key's tiebreak.
+                segment = (Segment.RUNTIME, Segment.INIT)[pick % 2]
+                cgroup.allocate(names[pick % len(names)], segment, size + 1)
+            elif op == "split":
+                splittable = [r for r in live if r.pages > 1]
+                if splittable:
+                    region = splittable[pick % len(splittable)]
+                    space.split(region, 1 + size % (region.pages - 1))
+            elif op == "free" and len(live) > 1:
+                cgroup.free(live[pick % len(live)])
+            rng = random.Random(pick)
+            live = list(space.regions())
+            # Bases in any order, repeats allowed, as a working set is.
+            bases = [rng.choice(live) for _ in range(rng.randint(0, 2 * len(live)))]
+            expanded = container._expand_families(iter(bases))
+            assert expanded == naive_expand_families(space, bases)
+            for region in expanded:
+                family = space.find(region.name, region.segment)
+                assert space.family_size(region.name, region.segment) == len(family)
+
+
+# ----------------------------------------------------------------------
+# Dispatch: the raw fleet vs the live containers
+# ----------------------------------------------------------------------
+
+
+def live_fleet_dispatch(pool, queue_bound):
+    """The routing choice ``Controller.dispatch`` made over ``containers_of``."""
+    containers = [c for c in pool if c.alive]
+    warm = [c for c in containers if c.state is ContainerState.IDLE]
+    if warm:
+        return max(warm, key=lambda c: c.idle_since or 0.0)
+    queueable = [c for c in containers if len(c.pending) < queue_bound]
+    if queueable:
+        return min(queueable, key=lambda c: (len(c.pending), c.created_at))
+    return "cold"
+
+
+_FLEETS = pt.lists(
+    pt.tuples(
+        pt.sampled_from(list(ContainerState)),
+        # Few distinct values, so keys tie often; None idles as 0.0.
+        pt.sampled_from([None, 0.0, 1.0, 2.0]),
+        pt.integers(min_value=0, max_value=3),
+        pt.sampled_from([0.0, 1.0, 2.0]),
+    ),
+    min_size=0,
+    max_size=8,
+)
+
+
+class TestDispatchMatchesLiveFleet:
+    @pt.settings(max_examples=300)
+    @pt.given(_FLEETS, pt.integers(min_value=0, max_value=3))
+    def test_raw_fleet_picks_same_container(self, fleet, queue_bound):
+        chosen = []
+        pool = [
+            SimpleNamespace(
+                state=state,
+                alive=state is not ContainerState.RECLAIMED,
+                idle_since=idle_since,
+                pending=[None] * backlog,
+                created_at=created_at,
+                enqueue=lambda invocation, index=index: chosen.append(index),
+            )
+            for index, (state, idle_since, backlog, created_at) in enumerate(fleet)
+        ]
+        platform = SimpleNamespace(
+            function=lambda name: name,
+            config=SimpleNamespace(max_queue_per_container=queue_bound),
+            governor=None,
+        )
+        controller = Controller(platform)
+        controller._containers["f"] = pool
+        controller._create_container = lambda spec: SimpleNamespace(
+            enqueue=lambda invocation: chosen.append("cold")
+        )
+        controller.dispatch(Invocation(function="f", arrival=0.0))
+        expected = live_fleet_dispatch(pool, queue_bound)
+        assert chosen == [expected if expected == "cold" else pool.index(expected)]
+
+
+# ----------------------------------------------------------------------
+# Pucket touch: hot-first return vs the four-pop walk
+# ----------------------------------------------------------------------
+
+
+class _Recorder:
+    """A tracer stand-in that keeps every emitted (kind, fields) pair."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, kind, subject, **fields):
+        self.events.append((kind, fields))
+
+
+def placements(state):
+    """Every tracked set of ``state`` as plain id -> name maps."""
+    return {
+        "runtime": (
+            {r.region_id for r in state.runtime_pucket.inactive_regions},
+            {r.region_id for r in state.runtime_pucket.offloaded_regions},
+        ),
+        "init": (
+            {r.region_id for r in state.init_pucket.inactive_regions},
+            {r.region_id for r in state.init_pucket.offloaded_regions},
+        ),
+        "hot": {region.region_id: origin.name for region, origin in state.hot_pool.entries()},
+        "recalls": dict(state.recall_counts),
+    }
+
+
+def four_pop_touch(before, region, was_remote):
+    """The walk ``on_touched`` replaced, on a :func:`placements` copy.
+
+    Returns the expected placements afterwards and the expected
+    promotion ``(pucket, src)``, or None.
+    """
+    after = {
+        "runtime": tuple(set(members) for members in before["runtime"]),
+        "init": tuple(set(members) for members in before["init"]),
+        "hot": dict(before["hot"]),
+        "recalls": dict(before["recalls"]),
+    }
+    region_id = region.region_id
+    for name in ("runtime", "init"):
+        inactive, offloaded = after[name]
+        if region_id in inactive:
+            inactive.discard(region_id)
+            after["hot"][region_id] = name
+            return after, (name, "inactive")
+        if region_id in offloaded:
+            offloaded.discard(region_id)
+            if was_remote:
+                after["recalls"][name] += 1
+            after["hot"][region_id] = name
+            return after, (name, "offloaded")
+    return after, None
+
+
+def assert_hot_pool_disjoint(state):
+    hot = {region.region_id for region in state.hot_pool.regions}
+    for pucket in (state.runtime_pucket, state.init_pucket):
+        assert not hot & {r.region_id for r in pucket.inactive_regions}
+        assert not hot & {r.region_id for r in pucket.offloaded_regions}
+
+
+_PUCKET_OPS = pt.lists(
+    pt.tuples(
+        pt.sampled_from(
+            ["touch", "touch", "touch", "offload", "rollback", "free", "split", "exec"]
+        ),
+        pt.integers(min_value=0, max_value=1 << 16),
+        pt.booleans(),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestPucketTouchMatchesFourPopWalk:
+    @pt.settings(max_examples=150)
+    @pt.given(
+        pt.integers(min_value=1, max_value=5),
+        pt.integers(min_value=0, max_value=5),
+        _PUCKET_OPS,
+    )
+    def test_touch_moves_equal_reference(self, n_runtime, n_init, ops):
+        now, node, cgroup = fresh_cgroup()
+        recorder = _Recorder()
+        state = ContainerMemoryState(cgroup, FaaSMemConfig(), tracer=recorder)
+        for i in range(n_runtime):
+            cgroup.allocate(f"rt/{i}", Segment.RUNTIME, 4)
+        state.insert_runtime_init_barrier(now[0])
+        for i in range(n_init):
+            cgroup.allocate(f"init/{i}", Segment.INIT, 4)
+        state.insert_init_exec_barrier(now[0])
+        for step, (op, pick, flag) in enumerate(ops):
+            now[0] = float(step + 1)
+            live = list(cgroup.space.regions())
+            region = live[pick % len(live)] if live else None
+            if op == "touch" and region is not None:
+                was_remote = region.is_remote or flag
+                if region.is_remote:
+                    cgroup.mark_fetched(region)
+                before = placements(state)
+                emitted = len(recorder.events)
+                expected, move = four_pop_touch(before, region, was_remote)
+                state.on_touched(region, was_remote=was_remote)
+                assert placements(state) == expected
+                promotions = [
+                    (fields["pucket"], fields["src"])
+                    for kind, fields in recorder.events[emitted:]
+                ]
+                assert promotions == ([] if move is None else [move])
+            elif op == "offload" and region is not None and region.is_local:
+                state.note_offload(region)
+                cgroup.mark_offloaded(region)
+            elif op == "rollback":
+                state.roll_back_hot_pool(now[0])
+            elif op == "free" and region is not None:
+                state.on_freed(region)
+                cgroup.free(region)
+            elif op == "split" and region is not None and region.pages > 1:
+                # A split-off slice joins no Pucket: it stays untracked.
+                cgroup.space.split(region, 1)
+            elif op == "exec":
+                cgroup.allocate("exec/scratch", Segment.EXEC, 2)
+            assert_hot_pool_disjoint(state)

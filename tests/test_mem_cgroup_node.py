@@ -80,6 +80,15 @@ class TestCgroup:
         assert node.local_pages == 0
         assert not cgroup.mglru.tracked(r)
 
+    def test_touch_promotes_to_youngest_generation(self, cgroup):
+        r = cgroup.allocate("a", Segment.INIT, 8)
+        old = cgroup.mglru.generation_of(r)
+        cgroup.mglru.new_generation(1.0)
+        cgroup.touch(r)
+        assert cgroup.mglru.generation_of(r) is cgroup.mglru.youngest
+        assert cgroup.mglru.youngest is not old
+        assert r.access_count == 2  # allocation write + this touch
+
     def test_touch_remote_rejected(self, cgroup):
         r = cgroup.allocate("a", Segment.INIT, 8)
         cgroup.mark_offloaded(r)

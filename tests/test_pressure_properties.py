@@ -53,7 +53,7 @@ def _arrivals(arrival_seed: int, n_functions: int, mean_iat_s: float):
     return events
 
 
-@settings(max_examples=60)
+@settings(max_examples=100)
 @given(
     tuples(
         integers(min_value=0, max_value=10_000),  # arrival seed

@@ -83,7 +83,7 @@ _OPS = pt.lists(
 
 
 class TestPucketPlacementProperty:
-    @pt.settings(max_examples=60)
+    @pt.settings(max_examples=100)
     @pt.given(
         pt.integers(min_value=1, max_value=6),
         pt.integers(min_value=0, max_value=6),
@@ -117,7 +117,7 @@ class TestPucketPlacementProperty:
                     )
         assert auditor.clean, auditor.report()
 
-    @pt.settings(max_examples=40)
+    @pt.settings(max_examples=100)
     @pt.given(pt.integers(min_value=1, max_value=6), _OPS)
     def test_forget_leaves_no_residue(self, n_regions, ops):
         """After freeing every region the state machine is empty."""
@@ -144,7 +144,7 @@ class TestPucketPlacementProperty:
         assert state.local_resident_pages == 0
         assert auditor.clean, auditor.report()
 
-    @pt.settings(max_examples=40)
+    @pt.settings(max_examples=100)
     @pt.given(_OPS)
     def test_page_conservation(self, ops):
         """Tracked pages never exceed what the barriers sealed."""
@@ -173,7 +173,7 @@ class TestPucketPlacementProperty:
 class TestSemiWarmRandomizedWorkload:
     """Random small workloads through a fully audited platform."""
 
-    @pt.settings(max_examples=6)
+    @pt.settings(max_examples=100)
     @pt.given(
         pt.integers(min_value=1, max_value=10_000),
         pt.integers(min_value=2, max_value=8),
@@ -191,7 +191,7 @@ class TestSemiWarmRandomizedWorkload:
         assert platform.auditor.clean, platform.auditor.report()
         assert platform.tracer is not None and platform.tracer.emitted > 0
 
-    @pt.settings(max_examples=4)
+    @pt.settings(max_examples=100)
     @pt.given(pt.integers(min_value=1, max_value=10_000))
     def test_semiwarm_drain_is_audit_clean(self, seed):
         """Long idle gaps force semi-warm episodes; audit stays clean."""

@@ -102,6 +102,21 @@ class TestSharedColdOffload:
         assert len(platform.records) == 3
         assert all(r.latency < 5.0 for r in platform.records)
 
+    def test_request_touches_every_part_of_a_split_shared_region(self):
+        # Shared regions live in the image's cgroup, not the
+        # container's: their split-off siblings must be found there.
+        platform = build()
+        spawn_concurrent(platform, 1)
+        image = platform.runtime_shares.image_of("json")
+        sibling = image.cgroup.space.split(image.hot, 1)
+        touches = (image.hot.access_count, sibling.access_count)
+        platform.submit("json", 40.0)
+        platform.engine.run(until=40.5)
+        assert len(platform.records) == 2
+        assert image.hot.last_access == sibling.last_access == 40.0
+        assert image.hot.access_count == touches[0] + 1
+        assert sibling.access_count == touches[1] + 1
+
 
 class TestCombinedWithFaaSMem:
     def test_sharing_plus_faasmem_beats_either(self):
