@@ -29,7 +29,7 @@ from repro.pressure import (
     PressureConfig,
     ShedReason,
 )
-from repro.tier import TieredFastswap, TieredPool, TierSpec, TierTopology
+from repro.tier import TieredPool, TierSpec, TierTopology
 from repro.traces import generate_azure_like, sample_function_trace
 from repro.workloads import all_benchmarks, get_profile
 
@@ -54,7 +54,6 @@ __all__ = [
     "TierTopology",
     "TierSpec",
     "TieredPool",
-    "TieredFastswap",
     "get_profile",
     "all_benchmarks",
     "sample_function_trace",

@@ -103,7 +103,7 @@ def _sweep_point(
     summary = platform.summarize(benchmark, load, window=duration)
     breakdown = platform.latency_breakdown()
     fastswap = platform.fastswap
-    tier_stats = getattr(fastswap, "tier_stats", None)
+    tier_stats = fastswap.tier_stats
     return {
         "system": system,
         "near_share": "-" if share is None else share,
@@ -113,17 +113,15 @@ def _sweep_point(
         "fault_stall_ms": round(breakdown["fault_stall_s"] * 1e3, 3),
         "avg_mem_mib": round(summary.memory.average_mib, 2),
         "remote_avg_mib": round(summary.remote_avg_mib, 1),
+        # Only the hierarchy has a near tier; the single-node pool's
+        # one tier is the far memory node.
         "near_resident_pk": (
-            0
-            if tier_stats is None or 1 not in tier_stats
-            else tier_stats[1].placed + tier_stats[1].demoted_in
+            tier_stats[1].placed + tier_stats[1].demoted_in
+            if system == "hierarchy"
+            else 0
         ),
-        "spills": (
-            0
-            if tier_stats is None
-            else sum(ledger.spills for ledger in tier_stats.values())
-        ),
-        "demotions": getattr(fastswap, "demotions", 0),
+        "spills": sum(ledger.spills for ledger in tier_stats.values()),
+        "demotions": fastswap.demotions,
         "violations": len(platform.auditor.violations),
     }
 

@@ -22,10 +22,11 @@ from repro.obs.audit import InvariantAuditor
 from repro.obs.trace import Tracer
 from repro.pool.bandwidth import BandwidthMonitor
 from repro.pool.fastswap import Fastswap
-from repro.pool.link import Link, LinkConfig, LinkDirection
-from repro.pool.remote_pool import RemotePool
+from repro.pool.link import LinkConfig, LinkDirection
+from repro.pool.tier import TieredPool, TierTopology
 from repro.sim.engine import Engine
 from repro.sim.randomness import RandomStreams
+from repro.tier import runtime as tier_runtime
 from repro.units import MINUTE
 from repro.workloads.profile import WorkloadProfile
 
@@ -82,9 +83,9 @@ class PlatformConfig:
     pressure: Optional[object] = None
     # Pool hierarchy (repro.tier): a TierTopology. None falls back to
     # the process-wide default installed via repro.tier.runtime; with
-    # neither set the platform builds today's flat single-node pool.
-    # A degenerate one-tier/one-shard topology is provably equivalent
-    # to the flat pool (byte-identical trace digests).
+    # neither set the platform builds TierTopology.flat(), the paper's
+    # single memory node: one tier, one shard named mempool-0 with
+    # pool_capacity_mib pages behind an unnamed link of ``link``.
     tiers: Optional[object] = None
 
 
@@ -150,36 +151,23 @@ class ServerlessPlatform:
             strict=self.config.strict_node_capacity,
         )
         # Pool topology: an explicit config value wins over the
-        # process-wide default (lazy imports, like faults/pressure).
+        # process-wide default; with neither, the single-node pool.
         tiers = self.config.tiers
         if tiers is None:
-            from repro.tier import runtime as tier_runtime
-
-            tiers = tier_runtime.default_tiers()
-        if tiers is not None:
-            from repro.pool.tier import TieredPool
-            from repro.tier.datapath import TieredFastswap
-
-            self.pool = TieredPool(
-                clock=lambda: self.engine.now,
-                topology=tiers,
-                default_capacity_mib=self.config.pool_capacity_mib,
-                default_link=self.config.link,
-            )
-            self.fastswap = TieredFastswap(self.engine, self.pool)
-            # The representative link (nearest tier, shard 0): what
-            # the bandwidth monitor throttles against and what
-            # single-link call sites observe.
-            self.link = self.fastswap.link
-        else:
-            self.pool = RemotePool(
-                clock=lambda: self.engine.now,
-                capacity_mib=self.config.pool_capacity_mib,
-            )
-            self.link = Link(self.config.link)
-            self.fastswap = Fastswap(self.engine, self.link, self.pool)
+            tiers = tier_runtime.default_tiers() or TierTopology.flat()
+        self.pool = TieredPool(
+            clock=lambda: self.engine.now,
+            topology=tiers,
+            default_capacity_mib=self.config.pool_capacity_mib,
+            default_link=self.config.link,
+        )
+        self.fastswap = Fastswap(self.engine, self.pool)
+        # The representative link (nearest tier, shard 0): what the
+        # bandwidth monitor throttles against and what single-link
+        # call sites observe.
+        self.link = self.fastswap.link
         if tracer is not None:
-            for link in self.fastswap.links():
+            for link in self.pool.links():
                 link.tracer = tracer
             self.fastswap.tracer = tracer
         self.bandwidth_monitor = BandwidthMonitor(self.link)
@@ -421,7 +409,7 @@ class ServerlessPlatform:
             avg_offload_bandwidth_mibps=(
                 sum(
                     link.bytes_moved(LinkDirection.OUT, 0.0, duration)
-                    for link in self.fastswap.links()
+                    for link in self.pool.links()
                 )
                 / duration
                 / (1024 * 1024)

@@ -117,14 +117,14 @@ class FaultInjector:
 
     def _on_window_start(self, window: FaultWindow) -> None:
         now = self.platform.engine.now
-        # Fabric-wide: every link of the datapath (one for the flat
-        # pool, one per shard for a tiered pool) shares the window.
+        # Fabric-wide: every link of the datapath (one per pool shard)
+        # shares the window.
         if window.kind == LINK_DOWN:
-            for link in self.platform.fastswap.links():
+            for link in self.platform.pool.links():
                 link.set_up(False)
             self.stats.link_outages += 1
         else:
-            for link in self.platform.fastswap.links():
+            for link in self.platform.pool.links():
                 link.set_degradation(window.factor)
             self.stats.link_degradations += 1
         if self.tracer is not None:
@@ -141,10 +141,10 @@ class FaultInjector:
 
     def _on_window_end(self, window: FaultWindow) -> None:
         if window.kind == LINK_DOWN:
-            for link in self.platform.fastswap.links():
+            for link in self.platform.pool.links():
                 link.set_up(True)
         else:
-            for link in self.platform.fastswap.links():
+            for link in self.platform.pool.links():
                 link.set_degradation(1.0)
         if self.tracer is not None:
             self.tracer.emit(EventKind.FAULT_CLEARED, "link", fault=window.kind)
@@ -242,29 +242,28 @@ class FaultInjector:
         platform = self.platform
         fastswap = platform.fastswap
         self.stats.pool_crashes += 1
-        # One pool *node* crashes. The flat pool is a single crash
-        # domain; a tiered pool exposes one domain per shard and a
-        # deterministic draw picks the victim. The single-domain case
-        # draws nothing, so flat runs with the same schedule are
+        # One pool *node* crashes: every shard is its own crash domain
+        # and a deterministic draw picks the victim. A single-shard
+        # pool draws nothing, so its runs with the same schedule are
         # unperturbed.
-        domains = fastswap.crash_domains()
-        domain = domains[0]
-        if len(domains) > 1:
-            domain = domains[int(self.rng.integers(0, len(domains)))]
+        shards = platform.pool.all_shards()
+        shard = shards[0]
+        if len(shards) > 1:
+            shard = shards[int(self.rng.integers(0, len(shards)))]
         lost_names = set()
         total_lost = 0
         for cgroup in fastswap.attached_cgroups():
-            regions = fastswap.regions_in_domain(cgroup, domain)
+            regions = fastswap.regions_on_shard(cgroup, shard)
             lost = fastswap.declare_lost(cgroup, regions)
             if lost:
                 lost_names.add(cgroup.name)
                 total_lost += lost
-        fastswap.drop_pool(domain, total_lost)
+        platform.pool.drop(shard, total_lost)
         self.stats.pages_lost += total_lost
         if self.tracer is not None:
             self.tracer.emit(
                 EventKind.POOL_CRASH,
-                fastswap.domain_pool_name(domain),
+                shard.name,
                 pages_lost=total_lost,
                 cgroups=len(lost_names),
             )

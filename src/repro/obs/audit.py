@@ -561,13 +561,12 @@ class InvariantAuditor:
         # Per-tier conservation (repro.tier): the ledger balance of
         # each tier must equal its shard pools' summed usage, and the
         # tier residents must sum to the flat remote-resident balance.
-        pool_tiers = getattr(platform.pool, "tiers", None)
-        if pool_tiers is not None and not getattr(platform.pool, "degenerate", True):
+        if not platform.pool.degenerate:
             total_resident = 0
-            for tier in pool_tiers:
+            for tier in platform.pool.tiers:
                 ledger = self._tier_ledgers.setdefault(tier.level, _TierLedger())
-                shard_used = sum(s.pool.used_pages for s in tier.shards)
-                shard_lost = sum(s.pool.lost_pages for s in tier.shards)
+                shard_used = tier.used_pages
+                shard_lost = tier.lost_pages
                 self._check(
                     ledger.resident == shard_used,
                     now,

@@ -1,4 +1,4 @@
-"""Fastswap-style swap datapath between node DRAM and the pool.
+"""Fastswap-style swap datapath between node DRAM and the memory pool.
 
 Mirrors the two paths the paper ports onto Linux 6.1 (§7):
 
@@ -9,6 +9,28 @@ Mirrors the two paths the paper ports onto Linux 6.1 (§7):
 * **page-in** (:meth:`Fastswap.fault`) — synchronous: a request that
   touches remote pages stalls for the queueing + transfer time, which
   the caller adds to its service time.
+
+The pool is a :class:`~repro.pool.tier.TieredPool`; the paper's single
+memory node is its degenerate one-tier, one-shard topology. Over a
+real hierarchy the datapath also does:
+
+* **Tier selection** — offloads target the nearest tier by default;
+  pages whose last access is older than the topology's
+  ``far_direct_age_s`` go straight to the bottom tier (temperature),
+  and policies can force a tier with ``tier_hint`` ("near"/"far").
+* **Spill** — a tier whose stripe shard is full (counting in-flight
+  write-outs) spills the page one tier down, emitting one
+  ``tier.spill`` event per single-level step so the auditor can check
+  legality.
+* **Promotion** — a page-in recalls the page from whichever tier holds
+  it directly into local DRAM.
+* **Demotion** — a background daemon migrates pages resident in a
+  non-bottom tier for longer than ``demote_after_s`` one tier down,
+  a bounded batch per tick, oldest first.
+
+On the degenerate topology no page can spill or demote, no ``tier.*``
+event is emitted and the daemon never runs, so its trace is the
+single-node pool's, byte for byte.
 """
 
 from __future__ import annotations
@@ -20,10 +42,11 @@ from repro.errors import MemoryError_
 from repro.mem.cgroup import Cgroup
 from repro.mem.page import PageRegion
 from repro.obs.trace import EventKind
-from repro.pool.link import Link, LinkDirection
-from repro.pool.remote_pool import RemotePool
+from repro.pool.link import LinkDirection
+from repro.pool.tier import PoolShard, TieredPool
 from repro.sim.engine import Engine
-from repro.units import PAGE_SIZE, MIB
+from repro.sim.process import PeriodicTask
+from repro.units import PAGE_SIZE, MIB, pages_from_mib
 
 
 @dataclass
@@ -105,23 +128,73 @@ class SwapStats:
             )
 
 
+@dataclass
+class TierLedger:
+    """Cumulative page flow through one tier (audited per level).
+
+    The per-tier conservation identity generalises the swap law::
+
+        placed + demoted_in == recalled + freed + lost + demoted_out
+                               + resident (== shard pool usage summed)
+    """
+
+    placed: int = 0
+    demoted_in: int = 0
+    recalled: int = 0
+    freed: int = 0
+    lost: int = 0
+    demoted_out: int = 0
+    spills: int = 0
+
+    @property
+    def resident(self) -> int:
+        return (
+            self.placed
+            + self.demoted_in
+            - self.recalled
+            - self.freed
+            - self.lost
+            - self.demoted_out
+        )
+
+
+class _Upper:
+    """A region resident above the bottom tier: a demotion candidate."""
+
+    __slots__ = ("region", "placed_at")
+
+    def __init__(self, region: PageRegion, placed_at: float) -> None:
+        self.region = region
+        self.placed_at = placed_at
+
+
+# Bound once: on CPython 3.11 reading an Enum member through its
+# class (``LinkDirection.OUT``) takes EnumType.__getattr__'s slow path,
+# about 90 ns against about 7 ns for a module global, on every transfer.
+_OUT = LinkDirection.OUT
+_IN = LinkDirection.IN
+
+# A write-out's destination, chosen at issue time:
+# (shard, pages reserved on the shard while in flight).
+_Route = Tuple[PoolShard, int]
+
+
 class Fastswap:
-    """The swap datapath shared by every policy in the library."""
+    """The swap datapath shared by every policy, routed over the pool."""
 
     def __init__(
         self,
         engine: Engine,
-        link: Link,
-        pool: RemotePool,
+        pool: TieredPool,
         config: Optional[FastswapConfig] = None,
     ) -> None:
         self.engine = engine
-        self.link = link
         self.pool = pool
+        # The representative link (nearest tier, shard 0): what the
+        # bandwidth monitor throttles against and the breaker watches.
+        self.link = pool.tiers[0].shards[0].link
         self.config = config or FastswapConfig()
         self.stats = SwapStats()
-        self._per_cgroup_offloaded: Dict[str, int] = {}
-        self._per_cgroup_recalled: Dict[str, int] = {}
         # Optional repro.obs.Tracer; None keeps the datapath untraced.
         self.tracer = None
         # Optional repro.faults.FaultInjector; None keeps the datapath
@@ -133,6 +206,23 @@ class Fastswap:
         # ``remote_lost_pages``, so later frees/recalls must not
         # release or transfer them again.
         self._lost_region_ids: set = set()
+        # The single-node pool has no tier.* events (its trace predates
+        # the hierarchy and is pinned byte for byte).
+        self._emit_tier = not pool.degenerate
+        self._bottom_level = pool.tiers[-1].level
+        # region_id -> its write-out's route, from issue until the
+        # write-out lands or aborts.
+        self._routes: Dict[int, _Route] = {}
+        # region_id -> the shard holding that remote region's pages.
+        self._residence: Dict[int, PoolShard] = {}
+        # The residences above the bottom tier: what the demotion
+        # daemon works on, kept so it never scans the whole pool.
+        self._upper: Dict[int, _Upper] = {}
+        self.tier_stats: Dict[int, TierLedger] = {
+            tier.level: TierLedger() for tier in pool.tiers
+        }
+        self.demotions = 0
+        self._daemon: Optional[PeriodicTask] = None
 
     def attach(self, cgroup: Cgroup) -> None:
         """Wire a cgroup so freeing remote regions releases pool pages."""
@@ -143,69 +233,14 @@ class Fastswap:
         """Every cgroup ever attached (pool-crash loss enumeration)."""
         return list(self._cgroups)
 
-    # ------------------------------------------------------------------
-    # Routing seams
-    # ------------------------------------------------------------------
-    # The flat datapath has exactly one link and one pool, so every
-    # seam below is a trivial constant. repro.tier.TieredFastswap
-    # overrides them to route each region to a (tier, shard) pair —
-    # nothing else in this class changes, which is what makes the
-    # one-tier/one-shard configuration provably equivalent to the flat
-    # pool.
-
-    def links(self) -> List[Link]:
-        """Every link the datapath may transfer over."""
-        return [self.link]
-
-    def _route_offload(self, region: PageRegion, tier_hint: Optional[str] = None) -> Link:
-        """Pick the link a write-out of ``region`` travels over."""
-        return self.link
-
-    def _can_store(self, region: PageRegion) -> bool:
-        """Whether the pool backing ``region``'s route can take it now."""
-        return region.pages <= self.pool.free_pages
-
-    def _store(self, cgroup: Cgroup, region: PageRegion) -> None:
-        """Account a completed write-out in the routed pool."""
-        self.pool.store(region.pages)
-
-    def _discard_route(self, region: PageRegion, reason: str) -> None:
-        """An issued write-out aborted; forget any routing state."""
-
-    def _fault_link(self, region: PageRegion) -> Link:
-        """The link a page-in of ``region`` travels over."""
-        return self.link
-
-    def _release_recalled(self, cgroup: Cgroup, region: PageRegion) -> None:
-        """Account a recalled region leaving the pool."""
-        self.pool.release(region.pages)
-
-    def _release_freed(self, region: PageRegion) -> None:
-        """Account a freed-while-remote region leaving the pool."""
-        self.pool.release(region.pages)
-
-    def _note_lost(self, cgroup: Cgroup, region: PageRegion) -> None:
-        """A region's pool pages were destroyed by a node crash."""
-
-    # Pool-crash domains (repro.faults): the flat pool is one crash
-    # domain; the tiered pool exposes one per shard so the injector can
-    # fail a single pool node.
-
-    def crash_domains(self) -> List[object]:
-        """Independent pool-node failure domains."""
-        return [None]
-
-    def regions_in_domain(self, cgroup: Cgroup, domain: object) -> List[PageRegion]:
-        """Live remote regions of ``cgroup`` resident in ``domain``."""
-        return cgroup.remote_regions()
-
-    def drop_pool(self, domain: object, pages: int) -> None:
-        """Destroy ``pages`` pages in the crashed domain's pool."""
-        self.pool.drop(pages)
-
-    def domain_pool_name(self, domain: object) -> str:
-        """Display name of the crashed pool node."""
-        return self.pool.name
+    def regions_on_shard(self, cgroup: Cgroup, shard: PoolShard) -> List[PageRegion]:
+        """Live remote regions of ``cgroup`` resident on ``shard``."""
+        residence = self._residence
+        return [
+            region
+            for region in cgroup.remote_regions()
+            if residence.get(region.region_id) is shard
+        ]
 
     @property
     def suspended(self) -> bool:
@@ -219,6 +254,84 @@ class Fastswap:
         if self.injector is None:
             return False
         return (not self.link.up) or (not self.injector.breaker.allow(self.engine.now))
+
+    # ------------------------------------------------------------------
+    # Routing
+    # ------------------------------------------------------------------
+
+    def _route(self, region: PageRegion, tier_hint: Optional[str] = None) -> _Route:
+        """Where a write-out of ``region`` lands, chosen once per issue."""
+        region_id = region.region_id
+        route = self._routes.get(region_id)
+        if route is not None:
+            return route
+        tiers = self.pool.tiers
+        bottom = len(tiers) - 1
+        tier_index = 0
+        if bottom:  # A one-tier pool has no tier to choose.
+            if tier_hint == "far":
+                tier_index = bottom
+            elif tier_hint != "near":
+                age_bar = self.pool.topology.far_direct_age_s
+                if (
+                    age_bar is not None
+                    and region.last_access is not None
+                    and self.engine.now - region.last_access >= age_bar
+                ):
+                    # Page temperature: long-cold pages skip the near tier.
+                    tier_index = bottom
+            while tier_index < bottom:
+                tier = tiers[tier_index]
+                if tier.shard_for(region_id).room_for(region.pages):
+                    break
+                # Tier pressure: the stripe shard is full (counting
+                # in-flight write-outs), so the page spills one tier down.
+                self.tier_stats[tier.level].spills += 1
+                if self._emit_tier and self.tracer is not None:
+                    self.tracer.emit(
+                        EventKind.TIER_SPILL,
+                        region.name,
+                        from_tier=tier.level,
+                        to_tier=tier.level + 1,
+                        region=region_id,
+                        pages=region.pages,
+                    )
+                tier_index += 1
+        shard = tiers[tier_index].shard_for(region_id)
+        pages = region.pages
+        route = (shard, pages)
+        self._routes[region_id] = route
+        shard.pending_pages += pages
+        return route
+
+    def _discard_route(self, region: PageRegion) -> None:
+        """An issued write-out aborted; release its in-flight reservation."""
+        route = self._routes.pop(region.region_id, None)
+        if route is not None:
+            route[0].pending_pages -= route[1]
+
+    def _store(self, cgroup: Cgroup, region: PageRegion, route: _Route) -> None:
+        """Account a completed write-out on its routed shard."""
+        shard, pending = route
+        region_id = region.region_id
+        pages = region.pages
+        del self._routes[region_id]
+        shard.pending_pages -= pending
+        self.pool.store(shard, pages)
+        self._residence[region_id] = shard
+        self.tier_stats[shard.level].placed += pages
+        if self._emit_tier and self.tracer is not None:
+            self.tracer.emit(
+                EventKind.TIER_PLACE,
+                cgroup.name,
+                tier=shard.level,
+                shard=shard.index,
+                region=region_id,
+                pages=pages,
+            )
+        if shard.level < self._bottom_level:
+            self._upper[region_id] = _Upper(region, self.engine.now)
+            self._kick_daemon()
 
     # ------------------------------------------------------------------
     # Page-out
@@ -235,8 +348,8 @@ class Fastswap:
         Returns the completion time of the last write-out. Regions that
         get touched before their write-out completes are skipped
         (abort), matching kernel swap semantics. ``tier_hint``
-        ("near"/"far") lets policies steer the tiered datapath; the
-        flat pool ignores it.
+        ("near"/"far") lets policies steer a hierarchy; a one-tier
+        pool ignores it.
         """
         completion = self.engine.now
         if self.suspended:
@@ -260,9 +373,9 @@ class Fastswap:
                 continue
             issue_access_count = region.access_count
             issue_pages = region.pages
-            link = self._route_offload(region, tier_hint)
-            _, completion = link.transfer(
-                self.engine.now, issue_pages, LinkDirection.OUT
+            shard = self._route(region, tier_hint)[0]
+            _, completion = shard.link.transfer(
+                self.engine.now, issue_pages, _OUT
             )
             self.engine.schedule_at(
                 completion,
@@ -302,13 +415,15 @@ class Fastswap:
             # longer matches the region. Abort rather than account
             # pages that were never transferred.
             reason = "resized"
-        elif not self._can_store(region):
-            # The pool filled up while the write-out was in flight:
-            # the store bounces and the pages stay local, like a
-            # swap-out failing against a full swap device.
-            reason = "pool-full"
+        else:
+            route = self._routes.get(region.region_id) or self._route(region)
+            if region.pages > route[0].free_pages:
+                # The pool filled up while the write-out was in flight:
+                # the store bounces and the pages stay local, like a
+                # swap-out failing against a full swap device.
+                reason = "pool-full"
         if reason:
-            self._discard_route(region, reason)
+            self._discard_route(region)
             self.stats.aborted_offloads += 1
             if self.tracer is not None:
                 self.tracer.emit(
@@ -319,12 +434,9 @@ class Fastswap:
                     reason=reason,
                 )
             return
-        self._store(cgroup, region)
+        self._store(cgroup, region, route)
         cgroup.mark_offloaded(region)
         self.stats.offloaded_pages += region.pages
-        self._per_cgroup_offloaded[cgroup.name] = (
-            self._per_cgroup_offloaded.get(cgroup.name, 0) + region.pages
-        )
         if self.tracer is not None:
             self.tracer.emit(
                 EventKind.OFFLOAD_COMPLETE,
@@ -355,14 +467,15 @@ class Fastswap:
         for region in regions:
             if region.freed or region.is_remote:
                 continue
-            link = self._route_offload(region, tier_hint)
-            if not self._can_store(region):
+            route = self._route(region, tier_hint)
+            shard = route[0]
+            if region.pages > shard.free_pages:
                 # Full pool: skip, like a swap-out bouncing off a full
                 # swap device. The governor falls through to OOM.
-                self._discard_route(region, "pool-full")
+                self._discard_route(region)
                 continue
-            _, completion = link.transfer(
-                self.engine.now, region.pages, LinkDirection.OUT
+            _, completion = shard.link.transfer(
+                self.engine.now, region.pages, _OUT
             )
             self.stats.offload_ops += 1
             if self.tracer is not None:
@@ -372,12 +485,9 @@ class Fastswap:
                     region=region.region_id,
                     pages=region.pages,
                 )
-            self._store(cgroup, region)
+            self._store(cgroup, region, route)
             cgroup.mark_offloaded(region)
             self.stats.offloaded_pages += region.pages
-            self._per_cgroup_offloaded[cgroup.name] = (
-                self._per_cgroup_offloaded.get(cgroup.name, 0) + region.pages
-            )
             moved.append(region)
             if self.tracer is not None:
                 self.tracer.emit(
@@ -422,19 +532,36 @@ class Fastswap:
                 raise MemoryError_(f"fault on freed region {region.name!r}")
             if region.is_local:
                 continue
-            if region.region_id in self._lost_region_ids:
+            region_id = region.region_id
+            if region_id in self._lost_region_ids:
                 # The pool lost this page image in a node crash; it is
                 # re-materialized locally (the disk-image re-read a
                 # restarted container performs). Its pool pages are
                 # already accounted in remote_lost_pages, so there is
                 # no transfer and no recall to count.
-                self._lost_region_ids.discard(region.region_id)
+                self._lost_region_ids.discard(region_id)
                 cgroup.mark_fetched(region)
                 continue
-            _, completion = self._fault_link(region).transfer(
-                issue_at, region.pages, LinkDirection.IN
+            # Promotion: straight from whichever tier holds the page.
+            shard = self._residence.pop(region_id)
+            _, completion = shard.link.transfer(
+                issue_at, region.pages, _IN
             )
-            self._release_recalled(cgroup, region)
+            self.pool.release(shard, region.pages)
+            self.tier_stats[shard.level].recalled += region.pages
+            if self._emit_tier and self.tracer is not None:
+                self.tracer.emit(
+                    EventKind.TIER_RECALL,
+                    cgroup.name,
+                    tier=shard.level,
+                    shard=shard.index,
+                    region=region_id,
+                    pages=region.pages,
+                )
+            if self._upper:
+                # Room opened below may unblock a stuck demotion.
+                self._upper.pop(region_id, None)
+                self._kick_daemon()
             cgroup.mark_fetched(region)
             total_pages += region.pages
             self.stats.fault_ops += 1
@@ -442,15 +569,12 @@ class Fastswap:
                 self.tracer.emit(
                     EventKind.RECALL,
                     cgroup.name,
-                    region=region.region_id,
+                    region=region_id,
                     pages=region.pages,
                 )
         if total_pages == 0:
             return retry_stall
         self.stats.recalled_pages += total_pages
-        self._per_cgroup_recalled[cgroup.name] = (
-            self._per_cgroup_recalled.get(cgroup.name, 0) + total_pages
-        )
         wire_stall = max(0.0, completion - self.engine.now)
         cpu_stall = total_pages * self.config.fault_cpu_per_page_s / cpu_share
         if self.injector is not None:
@@ -462,29 +586,46 @@ class Fastswap:
     # ------------------------------------------------------------------
 
     def _handle_remote_freed(self, region: PageRegion) -> None:
-        if region.region_id in self._lost_region_ids:
+        region_id = region.region_id
+        if region_id in self._lost_region_ids:
             # The pool pages behind this region were destroyed by a
             # node crash and already accounted in remote_lost_pages;
             # there is nothing left to release.
-            self._lost_region_ids.discard(region.region_id)
+            self._lost_region_ids.discard(region_id)
             return
-        self._release_freed(region)
-        self.stats.remote_freed_pages += region.pages
+        pages = region.pages
+        shard = self._residence.pop(region_id)
+        self.pool.release(shard, pages)
+        self.tier_stats[shard.level].freed += pages
+        if self._emit_tier and self.tracer is not None:
+            self.tracer.emit(
+                EventKind.TIER_FREE,
+                region.name,
+                tier=shard.level,
+                shard=shard.index,
+                region=region_id,
+                pages=pages,
+            )
+        if self._upper:
+            # Room opened below may unblock a stuck demotion.
+            self._upper.pop(region_id, None)
+            self._kick_daemon()
+        self.stats.remote_freed_pages += pages
         if self.tracer is not None:
             self.tracer.emit(
                 EventKind.REMOTE_FREED,
                 region.name,
-                region=region.region_id,
-                pages=region.pages,
+                region=region_id,
+                pages=pages,
             )
 
     def declare_lost(self, cgroup: Cgroup, regions: Iterable[PageRegion]) -> int:
         """Mark remote regions destroyed by a pool-node crash.
 
         Returns the number of pages newly declared lost. The caller
-        (the fault injector) drops the same count from the pool, so
-        conservation holds: the pages move from the remote-resident
-        balance into ``remote_lost_pages``.
+        (the fault injector) drops the same count from the crashed
+        shard, so conservation holds: the pages move from the
+        remote-resident balance into ``remote_lost_pages``.
         """
         total = 0
         for region in regions:
@@ -504,11 +645,101 @@ class Fastswap:
                     region=region.region_id,
                     pages=region.pages,
                 )
-            self._note_lost(cgroup, region)
+            shard = self._residence.pop(region.region_id, None)
+            if shard is None:
+                continue
+            self._upper.pop(region.region_id, None)
+            self.tier_stats[shard.level].lost += region.pages
+            if self._emit_tier and self.tracer is not None:
+                self.tracer.emit(
+                    EventKind.TIER_LOST,
+                    cgroup.name,
+                    tier=shard.level,
+                    shard=shard.index,
+                    region=region.region_id,
+                    pages=region.pages,
+                )
         return total
 
-    def offloaded_pages_of(self, cgroup_name: str) -> int:
-        return self._per_cgroup_offloaded.get(cgroup_name, 0)
+    # ------------------------------------------------------------------
+    # Background demotion daemon
+    # ------------------------------------------------------------------
 
-    def recalled_pages_of(self, cgroup_name: str) -> int:
-        return self._per_cgroup_recalled.get(cgroup_name, 0)
+    def _kick_daemon(self) -> None:
+        """(Re)arm the demotion ticker if there is anything to demote.
+
+        Re-kicked on recalls/frees too: those open room in lower tiers
+        that may unblock a previously-stuck demotion.
+        """
+        if self._daemon is None and self._upper:
+            self._daemon = PeriodicTask(
+                self.engine,
+                self.pool.topology.demote_tick_s,
+                self._demote_tick,
+                name="tier:demote",
+            )
+
+    def _stop_daemon(self) -> None:
+        if self._daemon is not None:
+            self._daemon.stop()
+            self._daemon = None
+
+    def _demote_tick(self) -> None:
+        now = self.engine.now
+        topology = self.pool.topology
+        upper = list(self._upper.values())
+        if not upper:
+            self._stop_daemon()
+            return
+        if self.suspended:
+            # Interconnect outage / open breaker: pause, keep ticking.
+            return
+        ripe = sorted(
+            (p for p in upper if now - p.placed_at >= topology.demote_after_s),
+            key=lambda p: (p.placed_at, p.region.region_id),
+        )
+        budget = pages_from_mib(topology.demote_batch_mib)
+        progressed = False
+        for placement in ripe:
+            if budget <= 0:
+                break
+            region = placement.region
+            pages = region.pages
+            src_shard = self._residence[region.region_id]
+            # Levels are 1-based, so the tier one level down sits at
+            # index ``src_shard.level`` of the 0-based tier list.
+            dst_tier = self.pool.tiers[src_shard.level]
+            dst_shard = dst_tier.shard_for(region.region_id)
+            if not dst_shard.room_for(pages):
+                # Destination full: the page stays put; a later recall
+                # or free below re-kicks the daemon.
+                continue
+            src_level = src_shard.level
+            dst_shard.link.transfer(now, pages, _OUT)
+            self.pool.migrate(src_shard, dst_shard, pages)
+            self.tier_stats[src_level].demoted_out += pages
+            self.tier_stats[dst_shard.level].demoted_in += pages
+            self.demotions += 1
+            if self._emit_tier and self.tracer is not None:
+                self.tracer.emit(
+                    EventKind.TIER_DEMOTE,
+                    region.name,
+                    from_tier=src_level,
+                    to_tier=dst_shard.level,
+                    shard=dst_shard.index,
+                    region=region.region_id,
+                    pages=pages,
+                )
+            self._residence[region.region_id] = dst_shard
+            if dst_shard.level == self._bottom_level:
+                del self._upper[region.region_id]
+            placement.placed_at = now
+            budget -= pages
+            progressed = True
+        if not progressed and all(
+            now - p.placed_at >= topology.demote_after_s for p in upper
+        ):
+            # Every upper-tier page is ripe but blocked on full lower
+            # tiers; ticking again changes nothing. Recalls and frees
+            # re-kick the daemon when room opens up.
+            self._stop_daemon()

@@ -1,4 +1,4 @@
-"""Hierarchical, sharded memory pool: the ``repro.tier`` data plane.
+"""The memory pool: a hierarchical, sharded pool of memory nodes.
 
 The paper's memory pool is one flat RDMA node; its §9 discussion (and
 the memory-pool architectures it targets) assume richer topologies. A
@@ -7,27 +7,26 @@ convention tier 1 is a CXL-style near pool (sub-µs fault, high
 bandwidth, small capacity) and tier 2 the familiar 56 Gbps Fastswap
 far pool — where each tier is sharded across multiple pool nodes.
 Pages stripe deterministically across a tier's shards by region id,
-and every shard owns its own capacity-tracked
-:class:`~repro.pool.remote_pool.RemotePool` and contended
-:class:`~repro.pool.link.Link`.
+and every shard is a capacity-checked :class:`PoolShard` behind its
+own contended :class:`~repro.pool.link.Link`. The paper's single
+memory node is the degenerate one-tier, one-shard topology
+(:meth:`TierTopology.flat`), which every platform builds by default.
 
-:class:`TieredPool` aggregates the shards behind the same read surface
-as a single ``RemotePool`` (``used_pages``, ``peak_pages``,
-``average_mib`` …) so platform summaries and the invariant auditor
-work unchanged. The routing logic lives in
-:class:`repro.tier.TieredFastswap`.
+:class:`TieredPool` aggregates the shards (``used_pages``,
+``peak_pages``, ``average_mib`` …) for platform summaries and the
+invariant auditor. The routing logic lives in
+:class:`repro.pool.fastswap.Fastswap`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.errors import CapacityError
 from repro.metrics.timeweighted import TimeWeightedAccumulator
 from repro.pool.link import Link, LinkConfig
-from repro.pool.remote_pool import RemotePool
-from repro.units import mib_from_pages
+from repro.units import mib_from_pages, pages_from_mib
 
 
 @dataclass
@@ -36,7 +35,7 @@ class TierSpec:
 
     ``capacity_mib`` and ``link`` of ``None`` inherit the platform's
     ``pool_capacity_mib`` and link config, which is how the degenerate
-    one-tier/one-shard topology reproduces the flat pool exactly.
+    one-tier/one-shard topology is the paper's single memory node.
     ``capacity_mib`` is the whole tier's capacity, split evenly across
     its shards.
     """
@@ -97,12 +96,12 @@ class TierTopology:
 
     @property
     def degenerate(self) -> bool:
-        """One tier, one shard: indistinguishable from the flat pool."""
+        """One tier, one shard: the single-node (flat) pool."""
         return len(self.tiers) == 1 and self.tiers[0].shards == 1
 
     @classmethod
     def flat(cls) -> "TierTopology":
-        """The provably-equivalent single-tier single-shard topology."""
+        """The paper's single memory node (the platform default)."""
         return cls(tiers=[TierSpec(name="pool")])
 
     @classmethod
@@ -143,11 +142,14 @@ class TierTopology:
 
 
 class PoolShard:
-    """One pool node: a capacity-tracked store behind its own link."""
+    """One pool node: an integer page store behind its own link.
+
+    Only exact counters live here; the time-weighted occupancy that
+    summaries read is kept once, on the aggregate :class:`TieredPool`.
+    """
 
     def __init__(
         self,
-        clock: Callable[[], float],
         level: int,
         index: int,
         capacity_mib: float,
@@ -155,20 +157,66 @@ class PoolShard:
         name: str,
         link_name: str = "",
     ) -> None:
+        if capacity_mib <= 0:
+            raise CapacityError(f"capacity must be positive, got {capacity_mib}")
         self.level = level
         self.index = index
-        self.pool = RemotePool(clock, capacity_mib, name=name)
+        self.name = name
+        self.capacity_pages = pages_from_mib(capacity_mib)
         self.link = Link(link_config, name=link_name)
+        self.used_pages = 0
+        # Cumulative pages destroyed by pool-node crashes (repro.faults).
+        self.lost_pages = 0
         # Pages issued toward this shard whose write-out has not landed
         # yet; tier-pressure spill decisions count them so concurrent
         # in-flight offloads cannot oversubscribe a small near tier.
         self.pending_pages = 0
 
+    @property
+    def free_pages(self) -> int:
+        return self.capacity_pages - self.used_pages
+
     def room_for(self, pages: int) -> bool:
-        return (
-            self.pool.used_pages + self.pending_pages + pages
-            <= self.pool.capacity_pages
-        )
+        return self.used_pages + self.pending_pages + pages <= self.capacity_pages
+
+    def store(self, pages: int) -> None:
+        """Account ``pages`` arriving on this node."""
+        if pages < 0:
+            raise ValueError(f"pages must be non-negative, got {pages}")
+        if self.used_pages + pages > self.capacity_pages:
+            raise CapacityError(
+                f"pool {self.name} full: {self.used_pages}+{pages} "
+                f"> {self.capacity_pages} pages"
+            )
+        self.used_pages += pages
+
+    def release(self, pages: int) -> None:
+        """Account ``pages`` leaving this node (recall, free, demotion)."""
+        if pages < 0:
+            raise ValueError(f"pages must be non-negative, got {pages}")
+        if pages > self.used_pages:
+            raise ValueError(
+                f"pool {self.name}: releasing {pages} pages but only "
+                f"{self.used_pages} stored"
+            )
+        self.used_pages -= pages
+
+    def drop(self, pages: int) -> None:
+        """Account ``pages`` destroyed by a crash of this node.
+
+        Dropped pages never travel back over the link; callers account
+        them in ``SwapStats.remote_lost_pages`` so swap conservation
+        still balances.
+        """
+        if pages < 0:
+            raise ValueError(f"pages must be non-negative, got {pages}")
+        if pages > self.used_pages:
+            raise ValueError(
+                f"pool {self.name}: dropping {pages} pages but only "
+                f"{self.used_pages} stored"
+            )
+        self.used_pages -= pages
+        self.lost_pages += pages
 
 
 class Tier:
@@ -179,30 +227,33 @@ class Tier:
         self.name = name
         self.shards = shards
 
-    def shard_for(self, region_id: int) -> int:
-        """Deterministic stripe: the shard index for a region id."""
-        return region_id % len(self.shards)
+    def shard_for(self, region_id: int) -> PoolShard:
+        """Deterministic stripe: the shard holding a region id's pages."""
+        shards = self.shards
+        return shards[region_id % len(shards)]
 
     @property
     def used_pages(self) -> int:
-        return sum(shard.pool.used_pages for shard in self.shards)
+        return sum(shard.used_pages for shard in self.shards)
 
     @property
     def capacity_pages(self) -> int:
-        return sum(shard.pool.capacity_pages for shard in self.shards)
+        return sum(shard.capacity_pages for shard in self.shards)
 
     @property
     def lost_pages(self) -> int:
-        return sum(shard.pool.lost_pages for shard in self.shards)
+        return sum(shard.lost_pages for shard in self.shards)
 
 
 class TieredPool:
-    """Every shard of every tier, plus a RemotePool-compatible view.
+    """Every shard of every tier, plus the aggregate occupancy view.
 
-    Aggregate occupancy is tracked both as an exact integer and in a
-    time-weighted accumulator, mirroring :class:`RemotePool`, so
-    ``platform.pool`` can be a ``TieredPool`` without touching the
-    summary or audit code paths. Internal tier-to-tier migrations
+    Exact page counts are the shards' integer counters, summed on read.
+    Aggregate occupancy over time lives in one time-weighted
+    accumulator (the only one in the pool: summaries read its peak and
+    averages, never a shard's); truncating its float value would
+    mis-count by a page whenever float error crosses a page boundary,
+    so it never serves ``used_pages``. Internal tier-to-tier migrations
     change shard occupancies but not the aggregate.
     """
 
@@ -218,8 +269,8 @@ class TieredPool:
         self.degenerate = topology.degenerate
         self._clock = clock
         self.tiers: List[Tier] = []
-        for i, spec in enumerate(topology.tiers):
-            level = i + 1
+        self._shards: List[PoolShard] = []
+        for level, spec in enumerate(topology.tiers, start=1):
             capacity = (
                 spec.capacity_mib
                 if spec.capacity_mib is not None
@@ -232,82 +283,71 @@ class TieredPool:
             shards = []
             for j in range(spec.shards):
                 if self.degenerate:
-                    # Byte-identical to the flat pool: same pool name,
-                    # same (empty) link name in trace subjects.
+                    # The single node keeps the names its pinned traces
+                    # carry: pool mempool-0 and an unnamed link.
                     pool_name, link_name = "mempool-0", ""
                 else:
                     pool_name = f"{spec.name}-{level}.{j}"
                     link_name = pool_name
                 shards.append(
-                    PoolShard(
-                        clock, level, j, per_shard, link_config, pool_name, link_name
-                    )
+                    PoolShard(level, j, per_shard, link_config, pool_name, link_name)
                 )
             self.tiers.append(Tier(level, spec.name, shards))
+            self._shards += shards
         self.name = "mempool-0" if self.degenerate else "tiered-pool"
+        self.capacity_pages = sum(shard.capacity_pages for shard in self._shards)
         self._usage = TimeWeightedAccumulator(start_time=clock(), value=0.0)
-        self._used_pages = 0
-        self.lost_pages = 0
-        self.capacity_pages = sum(tier.capacity_pages for tier in self.tiers)
 
     # ------------------------------------------------------------------
     # Shard addressing
     # ------------------------------------------------------------------
 
-    def shard(self, tier_index: int, shard_index: int) -> PoolShard:
-        return self.tiers[tier_index].shards[shard_index]
-
     def all_shards(self) -> List[PoolShard]:
-        return [shard for tier in self.tiers for shard in tier.shards]
+        return list(self._shards)
 
     def links(self) -> List[Link]:
-        return [shard.link for shard in self.all_shards()]
+        return [shard.link for shard in self._shards]
 
     # ------------------------------------------------------------------
-    # Page accounting (called by TieredFastswap)
+    # Page accounting (called by Fastswap)
     # ------------------------------------------------------------------
 
-    def store_at(self, tier_index: int, shard_index: int, pages: int) -> None:
-        self.shard(tier_index, shard_index).pool.store(pages)
-        self._used_pages += pages
+    def store(self, shard: PoolShard, pages: int) -> None:
+        shard.store(pages)
         self._usage.add(self._clock(), pages)
 
-    def release_at(self, tier_index: int, shard_index: int, pages: int) -> None:
-        self.shard(tier_index, shard_index).pool.release(pages)
-        self._used_pages -= pages
+    def release(self, shard: PoolShard, pages: int) -> None:
+        shard.release(pages)
         self._usage.add(self._clock(), -pages)
 
-    def drop_at(self, tier_index: int, shard_index: int, pages: int) -> None:
-        self.shard(tier_index, shard_index).pool.drop(pages)
-        self._used_pages -= pages
+    def drop(self, shard: PoolShard, pages: int) -> None:
+        shard.drop(pages)
         self._usage.add(self._clock(), -pages)
-        self.lost_pages += pages
 
-    def migrate(
-        self,
-        src: Tuple[int, int],
-        dst: Tuple[int, int],
-        pages: int,
-    ) -> None:
+    def migrate(self, src: PoolShard, dst: PoolShard, pages: int) -> None:
         """Move pages between shards; the aggregate does not change."""
-        self.shard(*dst).pool.store(pages)
-        self.shard(*src).pool.release(pages)
+        dst.store(pages)
+        src.release(pages)
 
     # ------------------------------------------------------------------
-    # RemotePool-compatible aggregate surface
+    # Aggregate surface
     # ------------------------------------------------------------------
 
     @property
     def used_pages(self) -> int:
-        return self._used_pages
+        return sum(shard.used_pages for shard in self._shards)
+
+    @property
+    def lost_pages(self) -> int:
+        return sum(shard.lost_pages for shard in self._shards)
 
     @property
     def used_mib(self) -> float:
-        return mib_from_pages(self._used_pages)
+        return mib_from_pages(self.used_pages)
 
     @property
     def free_pages(self) -> int:
-        return self.capacity_pages - self._used_pages
+        return self.capacity_pages - self.used_pages
 
     @property
     def peak_pages(self) -> int:

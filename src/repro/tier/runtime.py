@@ -5,8 +5,8 @@ flag cannot reach them through arguments. Installing a
 :class:`~repro.pool.tier.TierTopology` here makes every
 subsequently-constructed
 :class:`~repro.faas.platform.ServerlessPlatform` whose config carries
-no explicit ``tiers`` build a tiered pool. ``clear()`` restores the
-default (the flat single-node pool).
+no explicit ``tiers`` build that hierarchy. ``clear()`` restores the
+default (the single-node pool, :meth:`TierTopology.flat`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def install(topology: TierTopology) -> None:
 
 
 def clear() -> None:
-    """Remove the default; new platforms build the flat pool."""
+    """Remove the default; new platforms build the single-node pool."""
     global _DEFAULT
     _DEFAULT = None
 

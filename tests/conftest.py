@@ -11,7 +11,7 @@ from repro.mem.cgroup import Cgroup
 from repro.mem.node import ComputeNode
 from repro.pool.fastswap import Fastswap
 from repro.pool.link import Link
-from repro.pool.remote_pool import RemotePool
+from repro.pool.tier import TieredPool, TierTopology
 from repro.sim.engine import Engine
 from repro.workloads import get_profile
 
@@ -27,8 +27,8 @@ def node(engine: Engine) -> ComputeNode:
 
 
 @pytest.fixture
-def pool(engine: Engine) -> RemotePool:
-    return RemotePool(clock=lambda: engine.now, capacity_mib=8192)
+def pool(engine: Engine) -> TieredPool:
+    return TieredPool(lambda: engine.now, TierTopology.flat(), default_capacity_mib=8192)
 
 
 @pytest.fixture
@@ -37,8 +37,8 @@ def link() -> Link:
 
 
 @pytest.fixture
-def fastswap(engine: Engine, link: Link, pool: RemotePool) -> Fastswap:
-    return Fastswap(engine, link, pool)
+def fastswap(engine: Engine, pool: TieredPool) -> Fastswap:
+    return Fastswap(engine, pool)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@
 * ``TmoPolicy``'s heap-picked victims vs a full sort of the candidates.
 * ``Link.bytes_moved``'s prefix sums vs the windowed sum over every
   transfer.
-* ``TieredFastswap``'s upper-tier set vs a filter of every residence.
+* ``Fastswap``'s upper-tier set vs a filter of every residence.
 * ``Engine``'s ``(time, seq, event)`` heap vs sorting the live events
   by ``(time, seq)``, over random schedule/cancel/step sequences.
 * ``UniformInit.request_regions``' one vector draw vs one scalar draw
@@ -42,10 +42,10 @@ from repro.faas.request import Invocation
 from repro.mem.cgroup import Cgroup
 from repro.mem.node import ComputeNode
 from repro.mem.page import Location, Segment
+from repro.pool.fastswap import Fastswap
 from repro.pool.link import Link, LinkConfig, LinkDirection
 from repro.pool.tier import TieredPool, TierSpec, TierTopology
 from repro.sim.engine import Engine
-from repro.tier.datapath import TieredFastswap
 from repro.units import PAGE_SIZE
 from repro.workloads import all_benchmarks, get_profile
 from repro.workloads.profile import InitState, UniformInit
@@ -382,14 +382,18 @@ def three_tier(engine):
         demote_batch_mib=1.0,
     )
     pool = TieredPool(lambda: engine.now, topology, default_capacity_mib=64.0)
-    return TieredFastswap(engine, pool)
+    return Fastswap(engine, pool)
 
 
 def check_upper_against_scan(fastswap):
-    bottom = len(fastswap.hierarchy.tiers) - 1
-    expected = [p for p in fastswap._residence.values() if p.tier_index < bottom]
-    assert list(fastswap._upper.values()) == expected
-    assert list(fastswap._upper) == [p.region.region_id for p in expected]
+    bottom = fastswap.pool.tiers[-1].level
+    expected = [
+        region_id
+        for region_id, shard in fastswap._residence.items()
+        if shard.level < bottom
+    ]
+    assert list(fastswap._upper) == expected
+    assert [fastswap._upper[i].region.region_id for i in expected] == expected
 
 
 class TestTierUpperSetMatchesScan:
@@ -423,12 +427,12 @@ class TestTierUpperSetMatchesScan:
             elif op == "demote":
                 fastswap._demote_tick()
             elif op == "crash":
-                domains = fastswap.crash_domains()
-                domain = domains[pick % len(domains)]
+                shards = fastswap.pool.all_shards()
+                shard = shards[pick % len(shards)]
                 lost = fastswap.declare_lost(
-                    cgroup, fastswap.regions_in_domain(cgroup, domain)
+                    cgroup, fastswap.regions_on_shard(cgroup, shard)
                 )
-                fastswap.drop_pool(domain, lost)
+                fastswap.pool.drop(shard, lost)
             check_upper_against_scan(fastswap)
         engine.run(until=engine.now + 60.0)
         check_upper_against_scan(fastswap)

@@ -1,36 +1,59 @@
-"""Unit tests for the remote pool and the Fastswap datapath."""
+"""Unit tests for the memory pool and the Fastswap datapath."""
 
 import pytest
 
 from repro.errors import CapacityError, MemoryError_
 from repro.mem.page import Segment
 from repro.pool.fastswap import Fastswap, FastswapConfig
-from repro.pool.remote_pool import RemotePool
+from repro.pool.link import LinkConfig
+from repro.pool.tier import PoolShard, TieredPool, TierTopology
+
+
+def _node(pool):
+    """The single memory node of a one-tier, one-shard pool."""
+    (shard,) = pool.all_shards()
+    return shard
 
 
 class TestRemotePool:
-    def test_store_and_release(self, pool):
-        pool.store(100)
-        assert pool.used_pages == 100
-        pool.release(60)
-        assert pool.used_pages == 40
+    """The memory pool: exact aggregate counts over checked shards."""
 
-    def test_capacity_enforced(self, engine):
-        pool = RemotePool(clock=lambda: engine.now, capacity_mib=1)
+    def test_store_and_release(self, pool):
+        shard = _node(pool)
+        pool.store(shard, 100)
+        assert pool.used_pages == shard.used_pages == 100
+        pool.release(shard, 60)
+        assert pool.used_pages == shard.used_pages == 40
+
+    def test_capacity_enforced(self):
+        shard = PoolShard(1, 0, 1, LinkConfig(), "node")
         with pytest.raises(CapacityError):
-            pool.store(pool.capacity_pages + 1)
+            shard.store(shard.capacity_pages + 1)
+        shard.store(shard.capacity_pages)
+        assert shard.free_pages == 0
+        with pytest.raises(CapacityError):
+            PoolShard(1, 0, 0, LinkConfig(), "empty")
 
     def test_release_more_than_stored_rejected(self, pool):
-        pool.store(5)
+        shard = _node(pool)
+        pool.store(shard, 5)
         with pytest.raises(ValueError):
-            pool.release(6)
+            shard.release(6)
+        with pytest.raises(ValueError):
+            pool.release(shard, 6)
+        assert pool.used_pages == shard.used_pages == 5
 
     def test_negative_rejected(self, pool):
+        shard = _node(pool)
+        for method in (shard.store, shard.release, shard.drop):
+            with pytest.raises(ValueError):
+                method(-1)
         with pytest.raises(ValueError):
-            pool.store(-1)
+            pool.store(shard, -1)
+        assert pool.used_pages == shard.used_pages == 0
 
     def test_average_usage(self, engine, pool):
-        pool.store(100)
+        pool.store(_node(pool), 100)
         engine.run(until=10.0)
         assert pool.average_pages(10.0) == pytest.approx(100.0)
 
@@ -39,14 +62,15 @@ class TestRemotePool:
         # int(self._usage.value), so any float residue in the
         # time-weighted accumulator truncated the count by a page.
         now = [0.0]
-        pool = RemotePool(clock=lambda: now[0], capacity_mib=64)
+        pool = TieredPool(lambda: now[0], TierTopology.flat(), default_capacity_mib=64)
+        shard = _node(pool)
         expected = 0
         for _ in range(1000):
             now[0] += 0.1  # not exactly representable in binary
-            pool.store(3)
+            pool.store(shard, 3)
             expected += 3
             now[0] += 0.1
-            pool.release(1)
+            pool.release(shard, 1)
             expected -= 1
             assert pool.used_pages == expected
         assert isinstance(pool.used_pages, int)
@@ -101,13 +125,6 @@ class TestOffload:
         engine.run()
         assert fastswap.stats.offloaded_pages == 16
 
-    def test_per_cgroup_attribution(self, engine, cgroup, fastswap):
-        r = cgroup.allocate("a", Segment.INIT, 64)
-        fastswap.offload(cgroup, [r])
-        engine.run()
-        assert fastswap.offloaded_pages_of(cgroup.name) == 64
-        assert fastswap.offloaded_pages_of("nobody") == 0
-
 
 class TestFault:
     def _offloaded_region(self, engine, cgroup, fastswap, pages=256):
@@ -152,7 +169,7 @@ class TestFault:
 
     def test_fault_cpu_cost_model(self, engine, cgroup, fastswap):
         config = FastswapConfig(fault_cpu_per_page_s=1e-5)
-        swap = Fastswap(engine, fastswap.link, fastswap.pool, config)
+        swap = Fastswap(engine, fastswap.pool, config)
         r = cgroup.allocate("a", Segment.INIT, 100)
         swap.offload(cgroup, [r])
         engine.run()
@@ -247,19 +264,21 @@ class TestPoolFullAbort:
     """An offload completing against a pool that filled up mid-flight
     must bounce cleanly (aborted, pages stay local), not raise."""
 
-    def _small_pool_swap(self, engine, link):
-        pool = RemotePool(clock=lambda: engine.now, capacity_mib=2)  # 512 pages
-        return pool, Fastswap(engine, link, pool)
+    def _small_pool_swap(self, engine):
+        pool = TieredPool(
+            lambda: engine.now, TierTopology.flat(), default_capacity_mib=2
+        )  # 512 pages
+        return pool, Fastswap(engine, pool)
 
-    def test_pool_full_mid_flight_aborts(self, engine, node, link):
+    def test_pool_full_mid_flight_aborts(self, engine, node):
         from repro.mem.cgroup import Cgroup
 
-        pool, swap = self._small_pool_swap(engine, link)
+        pool, swap = self._small_pool_swap(engine)
         cgroup = Cgroup("cg", node, clock=lambda: engine.now)
         r = cgroup.allocate("a", Segment.INIT, 400)
         swap.offload(cgroup, [r])
         # A competing store fills the pool before the write-out lands.
-        pool.store(300)
+        pool.store(_node(pool), 300)
         engine.run()
         assert r.is_local
         assert swap.stats.aborted_offloads == 1
@@ -267,14 +286,14 @@ class TestPoolFullAbort:
         assert pool.used_pages == 300
         swap.stats.check_conservation(pool.used_pages - 300)
 
-    def test_exact_fit_still_lands(self, engine, node, link):
+    def test_exact_fit_still_lands(self, engine, node):
         from repro.mem.cgroup import Cgroup
 
-        pool, swap = self._small_pool_swap(engine, link)
+        pool, swap = self._small_pool_swap(engine)
         cgroup = Cgroup("cg", node, clock=lambda: engine.now)
         r = cgroup.allocate("a", Segment.INIT, 212)
         swap.offload(cgroup, [r])
-        pool.store(300)  # leaves exactly 212 free
+        pool.store(_node(pool), 300)  # leaves exactly 212 free
         engine.run()
         assert r.is_remote
         assert swap.stats.aborted_offloads == 0
@@ -285,17 +304,21 @@ class TestLostPages:
     """Pool-crash accounting: drop() and declare_lost() keep the
     conservation identity intact with a remote_lost term."""
 
-    def test_drop_counts_lost_pages(self, engine):
-        pool = RemotePool(clock=lambda: engine.now, capacity_mib=8192)
-        pool.store(100)
-        pool.drop(40)
-        assert pool.used_pages == 60
-        assert pool.lost_pages == 40
+    def test_drop_counts_lost_pages(self, pool):
+        shard = _node(pool)
+        pool.store(shard, 100)
+        pool.drop(shard, 40)
+        assert pool.used_pages == shard.used_pages == 60
+        assert pool.lost_pages == shard.lost_pages == 40
 
     def test_drop_more_than_stored_rejected(self, pool):
-        pool.store(5)
+        shard = _node(pool)
+        pool.store(shard, 5)
         with pytest.raises(ValueError):
-            pool.drop(6)
+            shard.drop(6)
+        with pytest.raises(ValueError):
+            pool.drop(shard, 6)
+        assert pool.lost_pages == shard.lost_pages == 0
 
     def test_declare_lost_then_free_skips_release(self, engine, cgroup, fastswap):
         fastswap.attach(cgroup)
@@ -303,7 +326,7 @@ class TestLostPages:
         fastswap.offload(cgroup, [r])
         engine.run()
         lost = fastswap.declare_lost(cgroup, [r])
-        fastswap.pool.drop(lost)
+        fastswap.pool.drop(_node(fastswap.pool), lost)
         assert lost == 128
         assert fastswap.stats.remote_lost_pages == 128
         fastswap.stats.check_conservation(fastswap.pool.used_pages)
@@ -318,7 +341,7 @@ class TestLostPages:
         r = cgroup.allocate("a", Segment.INIT, 64)
         fastswap.offload(cgroup, [r])
         engine.run()
-        fastswap.pool.drop(fastswap.declare_lost(cgroup, [r]))
+        fastswap.pool.drop(_node(fastswap.pool), fastswap.declare_lost(cgroup, [r]))
         stall = fastswap.fault(cgroup, [r])
         assert r.is_local
         assert stall == 0.0  # no wire transfer: the image was lost

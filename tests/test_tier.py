@@ -7,8 +7,8 @@ import pytest
 from repro.errors import CapacityError
 from repro.mem.page import Segment
 from repro.pool.link import LinkConfig
+from repro.pool.fastswap import Fastswap
 from repro.pool.tier import TieredPool, TierSpec, TierTopology
-from repro.tier.datapath import TieredFastswap
 from repro.units import pages_from_mib
 
 
@@ -19,7 +19,7 @@ def _two_tier(
     near_shards=1,
     far_shards=1,
     **knobs,
-) -> TieredFastswap:
+) -> Fastswap:
     topology = TierTopology(
         tiers=[
             TierSpec(
@@ -38,7 +38,7 @@ def _two_tier(
         **knobs,
     )
     pool = TieredPool(lambda: engine.now, topology, default_capacity_mib=64.0)
-    return TieredFastswap(engine, pool)
+    return Fastswap(engine, pool)
 
 
 class TestTopology:
@@ -78,35 +78,37 @@ class TestTopology:
 class TestTieredPool:
     def test_shard_names_and_capacity_split(self, engine):
         fastswap = _two_tier(engine, near_mib=2.0, near_shards=2)
-        near = fastswap.hierarchy.tiers[0]
-        assert [s.pool.name for s in near.shards] == ["cxl-near-1.0", "cxl-near-1.1"]
-        assert all(s.pool.capacity_pages == pages_from_mib(1.0) for s in near.shards)
+        near = fastswap.pool.tiers[0]
+        assert [s.name for s in near.shards] == ["cxl-near-1.0", "cxl-near-1.1"]
+        assert all(s.capacity_pages == pages_from_mib(1.0) for s in near.shards)
 
     def test_aggregate_tracks_store_release_drop(self, engine):
         fastswap = _two_tier(engine)
-        pool = fastswap.hierarchy
-        pool.store_at(0, 0, 100)
-        pool.store_at(1, 0, 50)
+        pool = fastswap.pool
+        near, far = pool.tiers[0].shards[0], pool.tiers[1].shards[0]
+        pool.store(near, 100)
+        pool.store(far, 50)
         assert pool.used_pages == 150
-        pool.release_at(1, 0, 20)
+        pool.release(far, 20)
         assert pool.used_pages == 130
-        pool.drop_at(0, 0, 100)
+        pool.drop(near, 100)
         assert pool.used_pages == 30
         assert pool.lost_pages == 100
-        assert pool.tiers[0].shards[0].pool.lost_pages == 100
+        assert near.lost_pages == 100
 
     def test_migrate_moves_shards_not_aggregate(self, engine):
-        pool = _two_tier(engine).hierarchy
-        pool.store_at(0, 0, 64)
-        pool.migrate((0, 0), (1, 0), 64)
+        pool = _two_tier(engine).pool
+        near, far = pool.tiers[0].shards[0], pool.tiers[1].shards[0]
+        pool.store(near, 64)
+        pool.migrate(near, far, 64)
         assert pool.tiers[0].used_pages == 0
         assert pool.tiers[1].used_pages == 64
         assert pool.used_pages == 64
 
     def test_striping_is_region_id_modulo_shards(self, engine):
         fastswap = _two_tier(engine, far_shards=3)
-        far = fastswap.hierarchy.tiers[1]
-        assert [far.shard_for(region_id) for region_id in range(6)] == [
+        far = fastswap.pool.tiers[1]
+        assert [far.shard_for(region_id).index for region_id in range(6)] == [
             0, 1, 2, 0, 1, 2,
         ]
 
@@ -120,7 +122,7 @@ class TestRoutingAndSpill:
         # demotion barrier and migrate it far.
         engine.run(until=1.0)
         assert region.is_remote
-        assert fastswap.hierarchy.tiers[0].used_pages == 256
+        assert fastswap.pool.tiers[0].used_pages == 256
         assert fastswap.tier_stats[1].placed == 256
         assert fastswap.tier_stats[2].placed == 0
 
@@ -129,7 +131,7 @@ class TestRoutingAndSpill:
         region = cgroup.allocate("a", Segment.INIT, 256)
         fastswap.offload(cgroup, [region], tier_hint="far")
         engine.run()
-        assert fastswap.hierarchy.tiers[1].used_pages == 256
+        assert fastswap.pool.tiers[1].used_pages == 256
         assert fastswap.tier_stats[2].placed == 256
 
     def test_cold_page_goes_far_directly(self, engine, cgroup):
@@ -139,7 +141,7 @@ class TestRoutingAndSpill:
         engine.run(until=400.0)  # idle well past the temperature bar
         fastswap.offload(cgroup, [region])
         engine.run()
-        assert fastswap.hierarchy.tiers[1].used_pages == 256
+        assert fastswap.pool.tiers[1].used_pages == 256
 
     def test_full_near_shard_spills_one_level_down(self, engine, cgroup):
         # Near tier holds 256 pages; the second region cannot fit and
@@ -149,8 +151,8 @@ class TestRoutingAndSpill:
         second = cgroup.allocate("b", Segment.INIT, 256)
         fastswap.offload(cgroup, [first, second])
         engine.run(until=1.0)  # bounded: before the demotion barrier
-        assert fastswap.hierarchy.tiers[0].used_pages == 256
-        assert fastswap.hierarchy.tiers[1].used_pages == 256
+        assert fastswap.pool.tiers[0].used_pages == 256
+        assert fastswap.pool.tiers[1].used_pages == 256
         assert fastswap.tier_stats[1].spills == 1
 
     def test_spill_counts_inflight_pages(self, engine, cgroup):
@@ -162,8 +164,8 @@ class TestRoutingAndSpill:
         fastswap.offload(cgroup, [first])
         fastswap.offload(cgroup, [second])
         engine.run(until=1.0)  # bounded: before the demotion barrier
-        assert fastswap.hierarchy.tiers[0].used_pages == 200
-        assert fastswap.hierarchy.tiers[1].used_pages == 200
+        assert fastswap.pool.tiers[0].used_pages == 200
+        assert fastswap.pool.tiers[1].used_pages == 200
 
     def test_recall_promotes_from_whichever_tier(self, engine, cgroup):
         fastswap = _two_tier(engine)
@@ -173,7 +175,7 @@ class TestRoutingAndSpill:
         stall = fastswap.fault(cgroup, [region])
         assert stall > 0
         assert region.is_local
-        assert fastswap.hierarchy.used_pages == 0
+        assert fastswap.pool.used_pages == 0
         assert fastswap.tier_stats[2].recalled == 256
         assert fastswap.tier_stats[2].resident == 0
 
@@ -185,8 +187,8 @@ class TestDemotionDaemon:
         fastswap.offload(cgroup, [region])
         engine.run()  # daemon arms, waits out the barrier, demotes, stops
         assert fastswap.demotions == 1
-        assert fastswap.hierarchy.tiers[0].used_pages == 0
-        assert fastswap.hierarchy.tiers[1].used_pages == 256
+        assert fastswap.pool.tiers[0].used_pages == 0
+        assert fastswap.pool.tiers[1].used_pages == 256
         assert fastswap.tier_stats[1].demoted_out == 256
         assert fastswap.tier_stats[2].demoted_in == 256
         assert fastswap._daemon is None  # self-terminated: engine drained
@@ -223,7 +225,7 @@ class TestDemotionDaemon:
         fastswap.offload(cgroup, [young])
         engine.run(until=11.5)
         assert fastswap.demotions == 1
-        far_residents = fastswap.resident_regions(1, 0)
+        far_residents = fastswap.regions_on_shard(cgroup, fastswap.pool.tiers[1].shards[0])
         assert [r.name for r in far_residents] == ["old"]
 
     def test_conservation_identity_per_tier(self, engine, cgroup):
@@ -236,6 +238,6 @@ class TestDemotionDaemon:
         fastswap.fault(cgroup, regions[:1])
         cgroup.free(regions[1])
         engine.run()
-        for tier in fastswap.hierarchy.tiers:
+        for tier in fastswap.pool.tiers:
             ledger = fastswap.tier_stats[tier.level]
             assert ledger.resident == tier.used_pages

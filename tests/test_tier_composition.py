@@ -87,7 +87,7 @@ class TestPoolCrashComposition:
     def near_crashed(self):
         # Semi-warm drains park pages in the near tier; a long demotion
         # barrier keeps them there, and the pinned draw crashes exactly
-        # near shard 0 — crash_domains() orders tier 1 shards first.
+        # near shard 0 — pool.all_shards() orders tier 1 shards first.
         # 104.55 lands just after a seeded arrival, mid-execution, so
         # the victim container is busy and its invocation is orphaned.
         schedule = FaultSchedule(points=[PointFault(POOL_CRASH, 104.55)])
@@ -106,9 +106,9 @@ class TestPoolCrashComposition:
         platform, _ = near_crashed
         assert platform.fault_injector.rng.draws == 1
         near, far = platform.pool.tiers
-        assert near.shards[0].pool.lost_pages > 0
-        assert near.shards[1].pool.lost_pages == 0
-        assert all(shard.pool.lost_pages == 0 for shard in far.shards)
+        assert near.shards[0].lost_pages > 0
+        assert near.shards[1].lost_pages == 0
+        assert all(shard.lost_pages == 0 for shard in far.shards)
         assert platform.fastswap.tier_stats[1].lost == near.lost_pages
         assert platform.fastswap.tier_stats[2].lost == 0
 

@@ -1,35 +1,50 @@
-"""Degenerate-hierarchy differential: one tier, one shard == flat pool.
+"""Pool-hierarchy reference digests.
 
-Installing a :class:`TierTopology` with a single one-shard tier swaps
-in the whole tiered machinery — :class:`TieredPool`,
-:class:`TieredFastswap`, routing seams, crash-domain plumbing — yet
-the traced event stream must be byte-identical (same SHA-256 digest)
-to a run on the plain ``RemotePool``/``Fastswap`` pair: the single
-shard inherits the platform's capacity and link, keeps the flat pool
-name ``mempool-0`` and the unnamed link subject, emits no ``tier.*``
-events, never arms the demotion daemon, and draws no random numbers.
+Every platform runs the one swap datapath over a :class:`TieredPool`.
+With no topology configured it builds the degenerate one-tier,
+one-shard pool, which must reproduce the retired flat single-node
+pool byte for byte: the single shard inherits the platform's capacity
+and link, keeps the pool name ``mempool-0`` and the unnamed link
+subject, emits no ``tier.*`` events, never arms the demotion daemon
+and draws no random numbers. The flat-path digests below were recorded
+on the flat datapath before it was folded into the hierarchy; the two
+multi-shard compositions pin runs no ``digest-parity`` entry covers.
 """
 
 from __future__ import annotations
 
 from repro.baselines import NoOffloadPolicy
 from repro.faas import PlatformConfig, ServerlessPlatform
+from repro.faults import POOL_CRASH, FaultSchedule, FaultSpec, PointFault
+from repro.faults import runtime as faults_runtime
 from repro.obs import runtime as obs
 from repro.pool.tier import TieredPool, TierSpec, TierTopology
 from repro.tier import runtime as tier_runtime
-from repro.tier.datapath import TieredFastswap
+
+from tests.test_tier_composition import _PinnedRng, _platform, _run, _topology
+
+# fig12 web/high/300 s on the flat pool (same bytes as bench's sentinel).
+FLAT_FIG12_DIGEST = "ea7e6dfbf0a8aa97504ac75bf02f4b43844cc38f4ef27aef2a8ae172ca5b54a7"
+# fig11 with a one-hour reuse history on the flat pool.
+FLAT_FIG11_DIGEST = "4f1a91f207a209520e0fd2d3e9936f6c61756ad65ee13629e4bd1a7ab983b951"
+# Audited `tiering` quick run under FaultSpec.parse("seed=11,intensity=1").
+TIERING_FAULTS_DIGEST = (
+    "d7cb3ca9ab6576afd01280ae8f9f74c61b563988d603cfc198331a77293605e3"
+)
+# test_tier_composition's near_crashed scenario (one near shard lost).
+NEAR_CRASHED_DIGEST = (
+    "60d3293330c018f8e6904383d6ed965e2dcaa2a69fd06d4f1f899a08d0626bbb"
+)
 
 
-def _digest(runner, with_degenerate_hierarchy: bool) -> str:
+def _digest(runner, audit: bool = False) -> str:
     obs.reset_sessions()
-    obs.enable(trace=True, audit=False)
-    if with_degenerate_hierarchy:
-        tier_runtime.install(TierTopology.flat())
+    obs.enable(trace=True, audit=audit)
     try:
         runner()
+        assert obs.total_violations() == 0, obs.audit_report()
         return obs.combined_digest()
     finally:
-        tier_runtime.clear()
         obs.disable()
         obs.reset_sessions()
 
@@ -48,23 +63,23 @@ def _run_semiwarm():
 
 class TestDegenerateHierarchyDifferential:
     def test_fig12_digest_identical(self):
-        assert _digest(_run_fig12, False) == _digest(_run_fig12, True)
+        assert _digest(_run_fig12) == FLAT_FIG12_DIGEST
 
     def test_semiwarm_digest_identical(self):
-        assert _digest(_run_semiwarm, False) == _digest(_run_semiwarm, True)
+        assert _digest(_run_semiwarm) == FLAT_FIG11_DIGEST
 
     def test_differential_is_not_vacuous(self):
-        """The degenerate branch really does build the tiered stack."""
-        tier_runtime.install(TierTopology.flat())
-        try:
-            platform = ServerlessPlatform(NoOffloadPolicy(), config=PlatformConfig())
-            assert isinstance(platform.pool, TieredPool)
-            assert isinstance(platform.fastswap, TieredFastswap)
-            assert platform.pool.degenerate
-            assert platform.pool.name == "mempool-0"
-            assert platform.fastswap.links()[0].name == ""
-        finally:
-            tier_runtime.clear()
+        """The default platform builds a one-tier, one-shard pool."""
+        platform = ServerlessPlatform(NoOffloadPolicy(), config=PlatformConfig())
+        pool = platform.pool
+        assert isinstance(pool, TieredPool)
+        assert pool.degenerate
+        assert len(pool.tiers) == 1 and len(pool.tiers[0].shards) == 1
+        assert pool.name == "mempool-0"
+        assert pool.tiers[0].shards[0].name == "mempool-0"
+        assert platform.pool.links() == [platform.link]
+        assert platform.link.name == ""
+        assert pool.capacity_pages == pool.tiers[0].shards[0].capacity_pages
 
     def test_real_hierarchy_does_change_the_stream(self):
         """Sanity check on the instrument: two tiers diverge.
@@ -74,25 +89,38 @@ class TestDegenerateHierarchyDifferential:
         the flat run.
         """
 
-        def run_two_tier(tiered: bool):
-            def runner():
-                if tiered:
-                    tier_runtime.install(
-                        TierTopology.cxl_rdma(total_capacity_mib=64 * 1024)
-                    )
-                try:
-                    _run_fig12()
-                finally:
-                    tier_runtime.clear()
+        def runner():
+            tier_runtime.install(TierTopology.cxl_rdma(total_capacity_mib=64 * 1024))
+            try:
+                _run_fig12()
+            finally:
+                tier_runtime.clear()
 
-            return runner
-
-        assert _digest(run_two_tier(False), False) != _digest(
-            run_two_tier(True), False
-        )
+        assert _digest(runner) != FLAT_FIG12_DIGEST
 
     def test_multi_shard_single_tier_is_not_degenerate(self):
         """Sharding alone already leaves the provable-flat regime."""
         topo = TierTopology(tiers=[TierSpec(name="pool", shards=2)])
         assert not topo.degenerate
         assert TierTopology.flat().degenerate
+
+
+class TestMultiShardReferenceDigests:
+    def test_tiering_under_faults(self):
+        from repro.experiments import run_experiment
+
+        def runner():
+            faults_runtime.install(FaultSpec.parse("seed=11,intensity=1"))
+            try:
+                run_experiment("tiering", duration=300.0, near_shares=(0.25,))
+            finally:
+                faults_runtime.clear()
+
+        assert _digest(runner, audit=True) == TIERING_FAULTS_DIGEST
+
+    def test_near_shard_crash(self):
+        schedule = FaultSchedule(points=[PointFault(POOL_CRASH, 104.55)])
+        platform, trace = _platform(_topology(demote_after_s=3600.0), faults=schedule)
+        platform.fault_injector.rng = _PinnedRng(0)
+        _run(platform, trace)
+        assert platform.tracer.digest() == NEAR_CRASHED_DIGEST
