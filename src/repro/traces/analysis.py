@@ -4,12 +4,40 @@ The paper's motivational numbers (Fig. 1, Fig. 5, §8.4) come from
 replaying invocation timestamps against a keep-alive rule without the
 full memory simulation. This module implements that replay: greedy
 MRU container assignment, single request per container at a time.
+
+The replay keeps the live containers in two deques, each sorted by
+``idle_since`` (the time a container's last request finishes):
+
+* ``busy`` holds containers still serving a request. Each arrival
+  appends the container it picks with ``idle_since = arrival +
+  exec_time``; arrivals are sorted and ``exec_time`` is fixed, so the
+  deque is sorted by construction.
+* ``idle`` holds containers whose request has finished. Containers
+  move onto its back from the front of ``busy`` once ``idle_since <=
+  arrival``. Every container already in ``idle`` went idle by the
+  previous arrival and every one still in ``busy`` after it, so
+  ``idle`` is sorted too.
+
+An arrival moves the finished containers from ``busy`` to ``idle``,
+expires the front of ``idle`` while its keep-alive has lapsed
+(``idle_since + timeout < arrival``), and reuses the back of ``idle``:
+the most recently idle container. With no idle container it cold-starts
+a new one. Each container enters and leaves each deque at most once per
+request it serves, so a replay of ``n`` arrivals costs O(n), not the
+O(n x live containers) of scanning every live container per arrival.
+
+The tie rules are those of that scan. Among idle containers sharing the
+largest ``idle_since`` the earliest created wins; containers expired at
+one arrival, and those still live at the end, are listed in creation
+order; the result is stably sorted by ``created_at``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Deque, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,8 +109,12 @@ class KeepAliveReplay:
         ]
 
 
+_Entry = Tuple[float, int, ContainerSpan]
+_CREATION = itemgetter(1)
+
+
 def replay_keepalive(
-    timestamps: Sequence[float],
+    timestamps: Iterable[float],
     timeout: float,
     exec_time: float = 1.0,
     horizon: Optional[float] = None,
@@ -92,41 +124,52 @@ def replay_keepalive(
     Containers serve one request at a time; an idle container expires
     ``timeout`` seconds after going idle; arrivals pick the
     most-recently-idle available container, else cold-start a new one.
+    ``timestamps`` may be any iterable of sorted times; NaN counts as
+    unsorted.
     """
     if timeout <= 0:
         raise TraceError(f"timeout must be positive, got {timeout}")
     if exec_time <= 0:
         raise TraceError(f"exec_time must be positive, got {exec_time}")
-    live: List[ContainerSpan] = []
+    # Entries are (idle_since, creation index, span).
+    idle: Deque[_Entry] = deque()
+    busy: Deque[_Entry] = deque()
     finished: List[ContainerSpan] = []
     cold_starts = 0
+    total_requests = 0
     last_arrival = 0.0
     for arrival in timestamps:
-        if arrival < last_arrival:
+        if not arrival >= last_arrival:
             raise TraceError("timestamps must be sorted")
         last_arrival = arrival
+        total_requests += 1
+        while busy and busy[0][0] <= arrival:
+            idle.append(busy.popleft())
         # Expire idle containers whose keep-alive lapsed before now.
-        still_live: List[ContainerSpan] = []
-        for span in live:
-            if span.idle_since + timeout < arrival:
+        if idle and idle[0][0] + timeout < arrival:
+            expired = [idle.popleft()]
+            while idle and idle[0][0] + timeout < arrival:
+                expired.append(idle.popleft())
+            expired.sort(key=_CREATION)
+            for _, _, span in expired:
                 span.ended_at = span.idle_since + timeout
                 finished.append(span)
-            else:
-                still_live.append(span)
-        live = still_live
-        # Available = currently idle (idle_since <= arrival).
-        available = [span for span in live if span.idle_since <= arrival]
-        if available:
-            span = max(available, key=lambda s: s.idle_since)
-            span.reused_intervals.append(arrival - span.idle_since)
+        if idle:
+            entry = idle.pop()
+            if idle and idle[-1][0] == entry[0]:
+                entry = _pop_earliest_tied(idle, entry)
+            since, index, span = entry
+            span.reused_intervals.append(arrival - since)
         else:
-            span = ContainerSpan(created_at=arrival, idle_since=arrival)
-            live.append(span)
+            index = cold_starts
+            span = ContainerSpan(created_at=arrival)
             cold_starts += 1
         span.requests += 1
         span.busy_time += exec_time
-        span.idle_since = arrival + exec_time
-    for span in live:
+        span.idle_since = idle_since = arrival + exec_time
+        busy.append((idle_since, index, span))
+    live = sorted((*idle, *busy), key=_CREATION)
+    for _, _, span in live:
         expiry = span.idle_since + timeout
         if horizon is None:
             # No horizon: containers live out their full keep-alive.
@@ -140,8 +183,28 @@ def replay_keepalive(
         exec_time=exec_time,
         containers=finished,
         cold_starts=cold_starts,
-        total_requests=len(list(timestamps)),
+        total_requests=total_requests,
     )
+
+
+def _pop_earliest_tied(idle: Deque[_Entry], last: _Entry) -> _Entry:
+    """Take the earliest-created entry among those tied with ``last``.
+
+    ``last`` was just popped from the back of ``idle``; the entries
+    sharing its ``idle_since`` form the back of ``idle``. If one of them
+    was created earlier, it leaves and ``last`` goes back on the back,
+    where it still ties.
+    """
+    position = len(idle)
+    while position and idle[position - 1][0] == last[0]:
+        position -= 1
+    best = min(range(position, len(idle)), key=lambda i: idle[i][1])
+    if idle[best][1] > last[1]:
+        return last
+    winner = idle[best]
+    del idle[best]
+    idle.append(last)
+    return winner
 
 
 def requests_per_container(

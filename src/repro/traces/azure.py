@@ -24,6 +24,8 @@ from repro.errors import TraceError
 from repro.sim.randomness import RandomStreams
 from repro.traces.model import FunctionTrace, TraceSet
 from repro.traces.patterns import (
+    _bursty_times,
+    _poisson_times,
     bursty_arrivals,
     diurnal_arrivals,
     periodic_arrivals,
@@ -158,16 +160,16 @@ def sample_function_trace(
     """
     rng = RandomStreams(seed=seed).get(f"trace-{load}")
     if load == "high":
-        timestamps = sorted(
-            bursty_arrivals(
-                rng,
-                duration,
-                burst_rate_per_s=1.2,
-                mean_burst_s=90.0,
-                mean_gap_s=180.0,
-            )
-            + poisson_arrivals(rng, 0.05, duration)
+        bursts = _bursty_times(
+            rng,
+            duration,
+            burst_rate_per_s=1.2,
+            mean_burst_s=90.0,
+            mean_gap_s=180.0,
+            min_gap_s=0.0,
         )
+        background = _poisson_times(rng, 0.05, duration)
+        timestamps = np.sort(np.concatenate((bursts, background))).tolist()
     elif load == "low":
         timestamps = poisson_arrivals(rng, 1.0 / 100.0, duration)
     elif load == "middle":

@@ -4,6 +4,13 @@ Each generator produces sorted timestamps in [0, duration). Azure-like
 populations mix these: Poisson (HTTP-triggered), fixed-interval
 (timer-triggered — a large share of real Azure functions), bursty
 on/off (event-driven spikes) and diurnal (user-facing load).
+
+Every generator draws its times as numpy arrays and sorts them once,
+with ``np.sort``, before the single ``.tolist()`` that returns them.
+``np.sort`` is not stable, but that cannot show: two floats that
+compare equal are the same bits unless one is ``-0.0``, and no
+generator here yields both ``0.0`` and ``-0.0``. The result equals
+``sorted()`` over the same draws, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,17 +29,24 @@ def _validate(duration: float, rate: float) -> None:
         raise TraceError(f"rate must be non-negative, got {rate}")
 
 
+def _poisson_times(
+    rng: np.random.Generator, rate_per_s: float, duration: float
+) -> np.ndarray:
+    """Unsorted Poisson arrival times (validated)."""
+    _validate(duration, rate_per_s)
+    if rate_per_s == 0:
+        return np.empty(0)
+    expected = rate_per_s * duration
+    # Draw the count, then order-statistics uniforms: exact and fast.
+    count = rng.poisson(expected)
+    return rng.uniform(0.0, duration, count)
+
+
 def poisson_arrivals(
     rng: np.random.Generator, rate_per_s: float, duration: float
 ) -> List[float]:
     """Homogeneous Poisson process."""
-    _validate(duration, rate_per_s)
-    if rate_per_s == 0:
-        return []
-    expected = rate_per_s * duration
-    # Draw the count, then order-statistics uniforms: exact and fast.
-    count = rng.poisson(expected)
-    return sorted(rng.uniform(0.0, duration, count).tolist())
+    return np.sort(_poisson_times(rng, rate_per_s, duration)).tolist()
 
 
 def periodic_arrivals(
@@ -50,7 +64,39 @@ def periodic_arrivals(
     points = np.arange(start, duration, interval_s)
     if jitter_s > 0:
         points = points + rng.uniform(-jitter_s, jitter_s, len(points))
-    return sorted(float(t) for t in points if 0 <= t < duration)
+    return np.sort(points[(points >= 0) & (points < duration)]).tolist()
+
+
+def _bursty_times(
+    rng: np.random.Generator,
+    duration: float,
+    burst_rate_per_s: float,
+    mean_burst_s: float,
+    mean_gap_s: float,
+    min_gap_s: float,
+) -> np.ndarray:
+    """Unsorted on/off arrival times (validated); see ``bursty_arrivals``."""
+    _validate(duration, burst_rate_per_s)
+    if mean_burst_s <= 0 or mean_gap_s <= 0:
+        raise TraceError("burst and gap means must be positive")
+    if min_gap_s < 0 or min_gap_s >= mean_gap_s:
+        raise TraceError("min_gap_s must be in [0, mean_gap_s)")
+    gap_tail = mean_gap_s - min_gap_s
+
+    def gap() -> float:
+        return min_gap_s + float(rng.exponential(gap_tail))
+
+    bursts: List[np.ndarray] = []
+    clock = gap()
+    while clock < duration:
+        burst_len = float(rng.exponential(mean_burst_s))
+        burst_end = min(clock + burst_len, duration)
+        span = burst_end - clock
+        if span > 0 and burst_rate_per_s > 0:
+            count = rng.poisson(burst_rate_per_s * span)
+            bursts.append(rng.uniform(clock, burst_end, count))
+        clock = burst_end + gap()
+    return np.concatenate(bursts) if bursts else np.empty(0)
 
 
 def bursty_arrivals(
@@ -69,27 +115,10 @@ def bursty_arrivals(
     ``min_gap_s`` puts a floor under the quiet gaps (e.g. beyond the
     keep-alive timeout, so each burst meets a cold fleet).
     """
-    _validate(duration, burst_rate_per_s)
-    if mean_burst_s <= 0 or mean_gap_s <= 0:
-        raise TraceError("burst and gap means must be positive")
-    if min_gap_s < 0 or min_gap_s >= mean_gap_s:
-        raise TraceError("min_gap_s must be in [0, mean_gap_s)")
-    gap_tail = mean_gap_s - min_gap_s
-
-    def gap() -> float:
-        return min_gap_s + float(rng.exponential(gap_tail))
-
-    timestamps: List[float] = []
-    clock = gap()
-    while clock < duration:
-        burst_len = float(rng.exponential(mean_burst_s))
-        burst_end = min(clock + burst_len, duration)
-        span = burst_end - clock
-        if span > 0 and burst_rate_per_s > 0:
-            count = rng.poisson(burst_rate_per_s * span)
-            timestamps.extend(rng.uniform(clock, burst_end, count).tolist())
-        clock = burst_end + gap()
-    return sorted(timestamps)
+    times = _bursty_times(
+        rng, duration, burst_rate_per_s, mean_burst_s, mean_gap_s, min_gap_s
+    )
+    return np.sort(times).tolist()
 
 
 def diurnal_arrivals(
@@ -108,18 +137,16 @@ def diurnal_arrivals(
     if not 0 <= depth <= 1:
         raise TraceError(f"depth must be in [0, 1], got {depth}")
     peak = mean_rate_per_s * (1 + depth)
-    candidates = poisson_arrivals(rng, peak, duration)
-    if not candidates:
+    candidates = np.sort(_poisson_times(rng, peak, duration))
+    if not candidates.size:
         return []
     phase = rng.uniform(0, period_s)
-    kept = []
-    for timestamp in candidates:
-        instantaneous = mean_rate_per_s * (
-            1 + depth * np.sin(2 * np.pi * (timestamp + phase) / period_s)
-        )
-        if rng.random() < instantaneous / peak:
-            kept.append(timestamp)
-    return kept
+    instantaneous = mean_rate_per_s * (
+        1 + depth * np.sin(2 * np.pi * (candidates + phase) / period_s)
+    )
+    # One vector draw is the same stream as one scalar draw per candidate.
+    keep = rng.random(candidates.size) < instantaneous / peak
+    return candidates[keep].tolist()
 
 
 def surge_arrivals(
@@ -134,8 +161,8 @@ def surge_arrivals(
     _validate(duration, base_rate_per_s)
     if not 0 <= surge_at < duration:
         raise TraceError(f"surge_at {surge_at} outside [0, {duration})")
-    base = poisson_arrivals(rng, base_rate_per_s, duration)
+    base = _poisson_times(rng, base_rate_per_s, duration)
     surge_end = min(surge_at + surge_len_s, duration)
     count = rng.poisson(surge_rate_per_s * (surge_end - surge_at))
-    surge = rng.uniform(surge_at, surge_end, count).tolist()
-    return sorted(base + surge)
+    surge = rng.uniform(surge_at, surge_end, count)
+    return np.sort(np.concatenate((base, surge))).tolist()

@@ -20,6 +20,16 @@
 * ``ContainerMemoryState.on_touched``'s hot-first return vs the
   four-pop walk over both Puckets, with the hot pool disjoint from
   every inactive and offloaded set after each step.
+* ``replay_keepalive``'s idle and busy deques vs scanning every live
+  span per arrival: every ``ContainerSpan`` field in the same order,
+  cold starts and request counts, over random arrivals with duplicate
+  timestamps, ``exec_time`` longer than the gaps, ``timeout <
+  exec_time`` and a horizon unset, before or after the last arrival.
+* The arrival generators' one array sort vs their per-element loops
+  (``sorted()`` over Python lists, one scalar draw and one ``np.sin``
+  per diurnal candidate): equal lists and equal generator states for
+  every pattern, every ``sample_function_trace`` load and a 40-function
+  ``generate_azure_like`` population.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from repro.baselines import NoOffloadPolicy
 from repro.baselines.tmo import TmoPolicy
@@ -46,7 +57,11 @@ from repro.pool.fastswap import Fastswap
 from repro.pool.link import Link, LinkConfig, LinkDirection
 from repro.pool.tier import TieredPool, TierSpec, TierTopology
 from repro.sim.engine import Engine
-from repro.units import PAGE_SIZE
+from repro.sim.randomness import RandomStreams
+from repro.traces import azure, patterns
+from repro.traces.analysis import ContainerSpan, KeepAliveReplay, replay_keepalive
+from repro.traces.azure import AzureTraceConfig, generate_azure_like, sample_function_trace
+from repro.units import HOUR, PAGE_SIZE
 from repro.workloads import all_benchmarks, get_profile
 from repro.workloads.profile import InitState, UniformInit
 
@@ -834,3 +849,299 @@ class TestPucketTouchMatchesFourPopWalk:
             elif op == "exec":
                 cgroup.allocate("exec/scratch", Segment.EXEC, 2)
             assert_hot_pool_disjoint(state)
+
+
+# ----------------------------------------------------------------------
+# Keep-alive replay: two sorted deques vs scanning every live span
+# ----------------------------------------------------------------------
+
+
+def scan_replay_keepalive(timestamps, timeout, exec_time=1.0, horizon=None):
+    """The per-arrival scan ``replay_keepalive`` replaced (list input)."""
+    live = []
+    finished = []
+    cold_starts = 0
+    for arrival in timestamps:
+        still_live = []
+        for span in live:
+            if span.idle_since + timeout < arrival:
+                span.ended_at = span.idle_since + timeout
+                finished.append(span)
+            else:
+                still_live.append(span)
+        live = still_live
+        available = [span for span in live if span.idle_since <= arrival]
+        if available:
+            span = max(available, key=lambda s: s.idle_since)
+            span.reused_intervals.append(arrival - span.idle_since)
+        else:
+            span = ContainerSpan(created_at=arrival, idle_since=arrival)
+            live.append(span)
+            cold_starts += 1
+        span.requests += 1
+        span.busy_time += exec_time
+        span.idle_since = arrival + exec_time
+    for span in live:
+        expiry = span.idle_since + timeout
+        if horizon is None:
+            span.ended_at = expiry
+        else:
+            span.ended_at = min(expiry, max(horizon, span.idle_since))
+        finished.append(span)
+    finished.sort(key=lambda s: s.created_at)
+    return KeepAliveReplay(
+        timeout=timeout,
+        exec_time=exec_time,
+        containers=finished,
+        cold_starts=cold_starts,
+        total_requests=len(timestamps),
+    )
+
+
+_GAP = pt.one_of(
+    # Duplicates and whole seconds: tied idle times and arrivals landing
+    # exactly on a keep-alive expiry.
+    pt.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 5.0, 10.0]),
+    # Gaps that vanish once exec_time is added: distinct arrivals, tied
+    # idle times.
+    pt.sampled_from([1e-17, 3e-17]),
+    pt.floats(min_value=0.0, max_value=40.0),
+)
+_EXEC = pt.one_of(
+    pt.sampled_from([1.0, 2.0, 3.0, 8.0]), pt.floats(min_value=0.01, max_value=30.0)
+)
+_TIMEOUT = pt.one_of(
+    pt.sampled_from([0.5, 1.0, 2.0, 5.0, 10.0, 60.0]),
+    pt.floats(min_value=1e-3, max_value=100.0),
+)
+
+
+def _arrivals(start, gaps):
+    timestamps = [start]
+    for gap in gaps:
+        timestamps.append(timestamps[-1] + gap)
+    return timestamps
+
+
+class TestReplayMatchesScan:
+    @pt.settings(max_examples=400)
+    @pt.given(
+        pt.sampled_from([0.0, 0.0, 3.0, 1000.0]),
+        pt.lists(_GAP, min_size=0, max_size=60),
+        _TIMEOUT,
+        _EXEC,
+        pt.sampled_from(["none", "before", "after"]),
+        pt.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_spans_equal_scan(self, start, gaps, timeout, exec_time, mode, where):
+        timestamps = _arrivals(start, gaps)
+        last = timestamps[-1]
+        horizon = {
+            "none": None,
+            "before": last * where,
+            "after": last + 100.0 * where,
+        }[mode]
+        got = replay_keepalive(timestamps, timeout, exec_time, horizon=horizon)
+        ref = scan_replay_keepalive(timestamps, timeout, exec_time, horizon=horizon)
+        # repr compares every ContainerSpan field bit for bit, in order.
+        assert repr(got.containers) == repr(ref.containers)
+        assert got.cold_starts == ref.cold_starts
+        assert got.total_requests == ref.total_requests == len(timestamps)
+
+
+# ----------------------------------------------------------------------
+# Arrival generators: one array sort vs the per-element Python loops
+# ----------------------------------------------------------------------
+
+
+def loop_poisson(rng, rate_per_s, duration):
+    if rate_per_s == 0:
+        return []
+    count = rng.poisson(rate_per_s * duration)
+    return sorted(rng.uniform(0.0, duration, count).tolist())
+
+
+def loop_periodic(rng, interval_s, duration, jitter_s=0.0, phase=None):
+    start = rng.uniform(0.0, interval_s) if phase is None else phase
+    points = np.arange(start, duration, interval_s)
+    if jitter_s > 0:
+        points = points + rng.uniform(-jitter_s, jitter_s, len(points))
+    return sorted(float(t) for t in points if 0 <= t < duration)
+
+
+def loop_bursty(
+    rng, duration, burst_rate_per_s, mean_burst_s=30.0, mean_gap_s=300.0, min_gap_s=0.0
+):
+    gap_tail = mean_gap_s - min_gap_s
+
+    def gap():
+        return min_gap_s + float(rng.exponential(gap_tail))
+
+    timestamps = []
+    clock = gap()
+    while clock < duration:
+        burst_end = min(clock + float(rng.exponential(mean_burst_s)), duration)
+        span = burst_end - clock
+        if span > 0 and burst_rate_per_s > 0:
+            count = rng.poisson(burst_rate_per_s * span)
+            timestamps.extend(rng.uniform(clock, burst_end, count).tolist())
+        clock = burst_end + gap()
+    return sorted(timestamps)
+
+
+def loop_diurnal(rng, mean_rate_per_s, duration, period_s=86400.0, depth=0.8):
+    peak = mean_rate_per_s * (1 + depth)
+    candidates = loop_poisson(rng, peak, duration)
+    if not candidates:
+        return []
+    phase = rng.uniform(0, period_s)
+    kept = []
+    for timestamp in candidates:
+        instantaneous = mean_rate_per_s * (
+            1 + depth * np.sin(2 * np.pi * (timestamp + phase) / period_s)
+        )
+        if rng.random() < instantaneous / peak:
+            kept.append(timestamp)
+    return kept
+
+
+def loop_surge(rng, duration, base_rate_per_s, surge_at, surge_len_s, surge_rate_per_s):
+    base = loop_poisson(rng, base_rate_per_s, duration)
+    surge_end = min(surge_at + surge_len_s, duration)
+    count = rng.poisson(surge_rate_per_s * (surge_end - surge_at))
+    return sorted(base + rng.uniform(surge_at, surge_end, count).tolist())
+
+
+def loop_sample_function_trace(load, duration, seed):
+    """``sample_function_trace``'s timestamps through the loop references."""
+    rng = RandomStreams(seed=seed).get(f"trace-{load}")
+    if load == "high":
+        return sorted(
+            loop_bursty(rng, duration, 1.2, mean_burst_s=90.0, mean_gap_s=180.0)
+            + loop_poisson(rng, 0.05, duration)
+        )
+    if load == "low":
+        return loop_poisson(rng, 1.0 / 100.0, duration)
+    if load == "middle":
+        return loop_poisson(rng, 1.0 / 15.0, duration)
+    if load == "bursty":
+        return loop_bursty(rng, duration, 2.0, mean_burst_s=400.0, mean_gap_s=450.0)
+    return loop_surge(rng, duration, 1.0 / 90.0, duration * 0.4, 30.0, 3.0)
+
+
+def _same_draws(generate, reference, seed):
+    """Equal lists from equal generators, which end in equal states."""
+    fast = np.random.default_rng(seed)
+    slow = np.random.default_rng(seed)
+    assert generate(fast) == reference(slow)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+_SEED = pt.integers(min_value=0, max_value=1 << 30)
+_RATE = pt.one_of(pt.sampled_from([0.0, 1e-3, 0.05]), pt.floats(min_value=0.0, max_value=3.0))
+_DURATION = pt.one_of(pt.sampled_from([1.0, 3600.0]), pt.floats(min_value=1.0, max_value=7200.0))
+
+
+class TestGeneratorsMatchLoops:
+    @pt.settings(max_examples=150)
+    @pt.given(_SEED, _RATE, _DURATION)
+    def test_poisson(self, seed, rate, duration):
+        _same_draws(
+            lambda rng: patterns.poisson_arrivals(rng, rate, duration),
+            lambda rng: loop_poisson(rng, rate, duration),
+            seed,
+        )
+
+    @pt.settings(max_examples=150)
+    @pt.given(
+        _SEED,
+        pt.floats(min_value=0.5, max_value=600.0),
+        _DURATION,
+        pt.sampled_from([0.0, 0.5, 2.0, 30.0]),
+        pt.one_of(pt.sampled_from([None, 0.0]), pt.floats(min_value=0.0, max_value=50.0)),
+    )
+    def test_periodic(self, seed, interval, duration, jitter, phase):
+        _same_draws(
+            lambda rng: patterns.periodic_arrivals(rng, interval, duration, jitter, phase),
+            lambda rng: loop_periodic(rng, interval, duration, jitter, phase),
+            seed,
+        )
+
+    @pt.settings(max_examples=150)
+    @pt.given(
+        _SEED,
+        _DURATION,
+        _RATE,
+        pt.floats(min_value=1.0, max_value=400.0),
+        pt.floats(min_value=10.0, max_value=900.0),
+        pt.floats(min_value=0.0, max_value=0.9),
+    )
+    def test_bursty(self, seed, duration, rate, mean_burst, mean_gap, min_gap_share):
+        min_gap = mean_gap * min_gap_share
+        _same_draws(
+            lambda rng: patterns.bursty_arrivals(
+                rng, duration, rate, mean_burst, mean_gap, min_gap
+            ),
+            lambda rng: loop_bursty(rng, duration, rate, mean_burst, mean_gap, min_gap),
+            seed,
+        )
+
+    @pt.settings(max_examples=150)
+    @pt.given(
+        _SEED,
+        pt.one_of(pt.sampled_from([0.0, 1.0]), pt.floats(min_value=0.0, max_value=2000.0)),
+        pt.one_of(pt.sampled_from([3600.0, 86400.0]), pt.floats(min_value=1.0, max_value=86400.0)),
+        pt.one_of(pt.sampled_from([600.0, 86400.0]), pt.floats(min_value=1.0, max_value=1e5)),
+        pt.one_of(pt.sampled_from([0.0, 0.8, 1.0]), pt.floats(min_value=0.0, max_value=1.0)),
+    )
+    def test_diurnal(self, seed, expected, duration, period, depth):
+        rate = expected / duration
+        _same_draws(
+            lambda rng: patterns.diurnal_arrivals(rng, rate, duration, period, depth),
+            lambda rng: loop_diurnal(rng, rate, duration, period, depth),
+            seed,
+        )
+
+    @pt.settings(max_examples=150)
+    @pt.given(
+        _SEED,
+        _DURATION,
+        _RATE,
+        pt.floats(min_value=0.0, max_value=0.99),
+        pt.floats(min_value=0.0, max_value=600.0),
+        pt.floats(min_value=0.0, max_value=10.0),
+    )
+    def test_surge(self, seed, duration, base_rate, at_share, surge_len, surge_rate):
+        surge_at = duration * at_share
+        _same_draws(
+            lambda rng: patterns.surge_arrivals(
+                rng, duration, base_rate, surge_at, surge_len, surge_rate
+            ),
+            lambda rng: loop_surge(rng, duration, base_rate, surge_at, surge_len, surge_rate),
+            seed,
+        )
+
+    @pt.settings(max_examples=40)
+    @pt.given(
+        _SEED,
+        pt.sampled_from([HOUR, 2 * HOUR, 6 * HOUR]),
+    )
+    def test_sample_function_trace_every_load(self, seed, duration):
+        for load in ("high", "low", "middle", "bursty", "surge"):
+            trace = sample_function_trace(load, duration=duration, seed=seed)
+            assert trace.timestamps == loop_sample_function_trace(load, duration, seed)
+
+    @pt.settings(max_examples=30)
+    @pt.given(_SEED)
+    def test_azure_population(self, seed):
+        config = AzureTraceConfig(n_functions=40, seed=seed)
+        fast = generate_azure_like(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(azure, "poisson_arrivals", loop_poisson)
+            patch.setattr(azure, "periodic_arrivals", loop_periodic)
+            patch.setattr(azure, "bursty_arrivals", loop_bursty)
+            patch.setattr(azure, "diurnal_arrivals", loop_diurnal)
+            slow = generate_azure_like(config)
+        assert list(fast.functions) == list(slow.functions)
+        for name, trace in fast.functions.items():
+            assert trace.timestamps == slow.functions[name].timestamps

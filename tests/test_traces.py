@@ -118,6 +118,30 @@ class TestFunctionTrace:
         with pytest.raises(TraceError):
             FunctionTrace("f", [11.0], duration=10.0)
 
+    def test_first_offender_named_unsorted_first(self):
+        # The unsorted pair comes before the out-of-range value.
+        with pytest.raises(TraceError, match="not sorted"):
+            FunctionTrace("f", [5.0, 1.0, 20.0], duration=10.0)
+
+    def test_first_offender_named_out_of_range_first(self):
+        with pytest.raises(TraceError, match=r"timestamp 20\.0 outside \[0, 10\.0\]"):
+            FunctionTrace("f", [2.0, 20.0, 5.0], duration=10.0)
+
+    def test_negative_rejected(self):
+        with pytest.raises(TraceError, match=r"timestamp -1\.0 outside"):
+            FunctionTrace("f", [-1.0, 2.0], duration=10.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(TraceError, match="timestamp nan outside"):
+            FunctionTrace("f", [1.0, float("nan"), 3.0], duration=10.0)
+
+    def test_timestamp_at_duration_accepted(self):
+        trace = FunctionTrace("f", [0.0, 10.0], duration=10.0)
+        assert trace.count == 2
+
+    def test_empty_accepted(self):
+        assert FunctionTrace("f", [], duration=10.0).count == 0
+
     def test_rate_per_day(self):
         trace = FunctionTrace("f", [1.0, 2.0], duration=86400.0)
         assert trace.rate_per_day == 2.0
@@ -193,6 +217,18 @@ class TestKeepAliveReplay:
     def test_unsorted_rejected(self):
         with pytest.raises(TraceError):
             replay_keepalive([5.0, 1.0], timeout=60.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(TraceError, match="sorted"):
+            replay_keepalive([1.0, float("nan"), 3.0], timeout=60.0)
+
+    def test_generator_input_counts_requests(self):
+        replay = replay_keepalive((t for t in [1.0, 2.0, 50.0]), 10.0)
+        assert replay.total_requests == 3
+        assert replay.cold_starts == 2
+        assert replay.cold_start_ratio == pytest.approx(2 / 3)
+        from_list = replay_keepalive([1.0, 2.0, 50.0], 10.0)
+        assert repr(replay) == repr(from_list)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(TraceError):
