@@ -5,16 +5,20 @@ TMO offloads memory slowly — about 0.05 % of a workload's memory every
 the workload stalling on reclaimed memory. Over a 10-minute keep-alive
 that caps the offload at ~3 % of memory, which is why it barely helps
 transient serverless containers (§8.2).
+
+Each step takes its victims, coldest first, from the age index the
+container's :class:`~repro.mem.address_space.AddressSpace` keeps
+(:meth:`~repro.mem.address_space.AddressSpace.coldest_local`), so a
+step costs O(victims · log n) instead of ordering every local region.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.baselines.scanning import PeriodicScanPolicy
-from repro.mem.page import PageRegion, Segment
+from repro.mem.page import PageRegion
 
 
 @dataclass
@@ -65,30 +69,11 @@ class TmoPolicy(PeriodicScanPolicy):
             self.platform.fastswap.offload(cgroup, victims)
 
     def _coldest_victims(self, container, budget_pages: int) -> List[PageRegion]:
-        """Coldest-first victims, splitting the last region to fit.
-
-        Keys ``(last access, region_id)`` are unique, so popping a heap
-        yields the same order as a full sort while touching only the
-        few regions one small step needs.
-        """
-        heap = [
-            (
-                region.last_access if region.last_access is not None else -1.0,
-                region.region_id,
-                region,
-            )
-            for segment in (Segment.RUNTIME, Segment.INIT)
-            for region in container.cgroup.local_regions(segment)
-        ]
-        heapq.heapify(heap)
-        victims: List[PageRegion] = []
-        remaining = budget_pages
-        while heap and remaining > 0:
-            region = heapq.heappop(heap)[2]
-            if region.pages <= remaining:
-                victims.append(region)
-                remaining -= region.pages
-            else:
-                victims.append(container.cgroup.space.split(region, remaining))
-                remaining = 0
+        """Coldest-first victims, splitting the last region to fit."""
+        space = container.cgroup.space
+        victims = space.coldest_local(budget_pages)
+        excess = sum(region.pages for region in victims) - budget_pages
+        if excess > 0:
+            last = victims[-1]
+            victims[-1] = space.split(last, last.pages - excess)
         return victims

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import MemoryError_
@@ -9,14 +10,28 @@ from repro.mem.page import Location, PageRegion, Segment
 
 RegionCallback = Callable[[PageRegion], None]
 
+_LOCAL = Location.LOCAL
+# The segments whose local regions the age index orders (TMO's
+# candidates); exec scratch is freed with its request.
+_AGED = frozenset((Segment.RUNTIME, Segment.INIT))
+# The age heap is dropped, to be rebuilt from the local buckets on the
+# next read, once it holds more than twice its candidates plus this.
+_AGE_HEAP_SLACK = 64
+
+
+def _age_key(region: PageRegion) -> Tuple[float, int]:
+    """A region's age-index entry: ``(last_access or -1.0, region_id)``."""
+    last = region.last_access
+    return (-1.0 if last is None else last, region.region_id)
+
 
 class AddressSpace:
     """All memory of one container, organised by segment.
 
     The address space is deliberately policy-agnostic: it tracks which
     regions exist, which are touched, and where they live, and notifies
-    observers (cgroup accounting, offload policies) of allocations,
-    touches and frees. It never decides anything.
+    observers (cgroup accounting) of allocations and frees. It never
+    decides anything.
 
     It is the only writer of a live region's ``pages`` and
     ``location`` (through :meth:`split` and :meth:`relocate`), so it
@@ -27,6 +42,22 @@ class AddressSpace:
     created, so insertion order is ascending ``region_id`` order; only
     :meth:`relocate` appends an older id to a bucket, which marks the
     bucket for a re-sort on its next read.
+
+    :meth:`coldest_local` reads an age index: a min-heap of ``(age,
+    region_id)`` entries over the local RUNTIME and INIT regions, where
+    ``age`` is ``last_access`` or ``-1.0`` if never touched. It is built
+    from the local buckets on the first read, so a space that is never
+    asked pays one ``is None`` check per allocate, split, relocate,
+    touch and free. Once built, an entry is pushed whenever a candidate
+    appears or changes age (allocate, split, touch, relocate to LOCAL)
+    and never removed eagerly; a read drops the stale ones, and a heap
+    grown past twice its candidates plus ``_AGE_HEAP_SLACK`` is dropped
+    and rebuilt on the next read. This is exact only
+    because a live region's ``last_access`` changes only through
+    :meth:`PageRegion.touch` called from :meth:`allocate`/:meth:`touch`,
+    its ``location`` only through :meth:`relocate`, and a sibling is
+    created only through :meth:`split`. Writing ``region.last_access``
+    directly on a live region would make a built index stale.
     """
 
     def __init__(self, owner: str = "") -> None:
@@ -42,8 +73,13 @@ class AddressSpace:
             segment: {location: 0 for location in Location} for segment in Segment
         }
         self._location_pages: Dict[Location, int] = {location: 0 for location in Location}
+        # The candidate buckets of the age index (local RUNTIME, INIT).
+        self._aged_local = (
+            self._buckets[(Segment.RUNTIME, _LOCAL)],
+            self._buckets[(Segment.INIT, _LOCAL)],
+        )
+        self._age_heap: Optional[List[Tuple[float, int]]] = None
         self.on_alloc: List[RegionCallback] = []
-        self.on_touch: List[RegionCallback] = []
         self.on_free: List[RegionCallback] = []
 
     # ------------------------------------------------------------------
@@ -69,6 +105,8 @@ class AddressSpace:
         self._index(region)
         self._pages[segment][region.location] += region.pages
         self._location_pages[region.location] += region.pages
+        if self._age_heap is not None:
+            self._push_age(region)
         for callback in self.on_alloc:
             callback(region)
         return region
@@ -84,6 +122,8 @@ class AddressSpace:
             raise MemoryError_(f"split of unknown region {region.name!r}")
         sibling = region.split(pages)
         self._index(sibling)
+        if self._age_heap is not None:
+            self._push_age(sibling)
         return sibling
 
     def relocate(self, region: PageRegion, location: Location) -> None:
@@ -107,6 +147,11 @@ class AddressSpace:
         self._location_pages[region.location] -= region.pages
         self._location_pages[location] += region.pages
         region.location = location
+        if self._age_heap is not None:
+            if location is _LOCAL:
+                self._push_age(region)
+            else:
+                self._bound_age_heap()
 
     def free(self, region: PageRegion) -> None:
         """Release a region (e.g. exec scratch at request completion)."""
@@ -123,6 +168,8 @@ class AddressSpace:
         self._pages[region.segment][region.location] -= region.pages
         self._location_pages[region.location] -= region.pages
         region.mark_freed()
+        if self._age_heap is not None:
+            self._bound_age_heap()
         for callback in self.on_free:
             callback(region)
 
@@ -152,7 +199,7 @@ class AddressSpace:
     # ------------------------------------------------------------------
 
     def touch(self, region: PageRegion, now: float) -> None:
-        """Record a CPU access to ``region`` and notify observers.
+        """Record a CPU access to ``region``.
 
         Touching a remote region does *not* migrate it — the swap
         datapath (:mod:`repro.pool.fastswap`) owns migration; callers
@@ -162,8 +209,57 @@ class AddressSpace:
         if region.region_id not in self._regions:
             raise MemoryError_(f"touch of unknown region {region.name!r}")
         region.touch(now)
-        for callback in self.on_touch:
-            callback(region)
+        if self._age_heap is not None:
+            self._push_age(region)
+
+    # ------------------------------------------------------------------
+    # Age index
+    # ------------------------------------------------------------------
+
+    def coldest_local(self, pages: int) -> List[PageRegion]:
+        """The coldest local RUNTIME/INIT regions, until they hold ``pages``.
+
+        Regions come coldest first by the unique key ``(last_access``,
+        or ``-1.0`` if never touched, ``region_id)``; the last one may
+        overshoot ``pages``. Their entries go back into the index: the
+        regions stay candidates until a write-out actually relocates
+        them.
+        """
+        heap = self._age_heap
+        if heap is None:
+            heap = self._age_heap = [
+                _age_key(region) for bucket in self._aged_local for region in bucket.values()
+            ]
+            heapify(heap)
+        regions = self._regions
+        coldest: List[PageRegion] = []
+        entries: List[Tuple[float, int]] = []
+        taken = 0
+        while heap and taken < pages:
+            entry = heappop(heap)
+            region = regions.get(entry[1])
+            if region is None or region.location is not _LOCAL or _age_key(region) != entry:
+                continue  # stale: freed, remote, or touched since
+            if coldest and coldest[-1] is region:
+                continue  # a repeated entry pops right after its twin
+            coldest.append(region)
+            entries.append(entry)
+            taken += region.pages
+        for entry in entries:
+            heappush(heap, entry)
+        return coldest
+
+    def _push_age(self, region: PageRegion) -> None:
+        """Index ``region``'s current age if it is a candidate."""
+        if region.segment in _AGED and region.location is _LOCAL:
+            heappush(self._age_heap, _age_key(region))
+            self._bound_age_heap()
+
+    def _bound_age_heap(self) -> None:
+        """Drop an age heap grown past its bound; the next read rebuilds it."""
+        runtime, init = self._aged_local
+        if len(self._age_heap) > 2 * (len(runtime) + len(init)) + _AGE_HEAP_SLACK:
+            self._age_heap = None
 
     # ------------------------------------------------------------------
     # Introspection

@@ -24,6 +24,11 @@ class LinkDirection(enum.Enum):
     OUT = "out"  # offload: compute node -> pool
     IN = "in"  # recall / fault: pool -> compute node
 
+    # Identity hashing, as for ``Segment`` and ``Location``: ``transfer``
+    # keys four dicts by direction, and Enum's default hash is Python
+    # code that hashes the name.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class LinkConfig:

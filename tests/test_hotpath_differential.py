@@ -5,7 +5,10 @@
   allocate/split/touch/free/offload/fetch sequences.
 * ``FunctionProfiler``'s sorted-history percentile vs ``np.percentile``
   over the same samples, compared with ``==``.
-* ``TmoPolicy``'s heap-picked victims vs a full sort of the candidates.
+* ``TmoPolicy``'s victims, read from ``AddressSpace``'s age index, vs
+  a full sort of the candidates: on fresh spaces, and on one persistent
+  space over random allocate/split/touch/offload/fetch/free sequences
+  with repeated reads whose splits stay in the space.
 * ``Link.bytes_moved``'s prefix sums vs the windowed sum over every
   transfer.
 * ``Fastswap``'s upper-tier set vs a filter of every residence.
@@ -37,6 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +54,8 @@ from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.faas.container import ContainerState
 from repro.faas.controller import Controller
 from repro.faas.request import Invocation
+from repro.mem import address_space
+from repro.mem.address_space import _AGE_HEAP_SLACK
 from repro.mem.cgroup import Cgroup
 from repro.mem.node import ComputeNode
 from repro.mem.page import Location, Segment
@@ -255,6 +261,29 @@ def sort_based_victims(cgroup, budget_pages):
     return chosen
 
 
+def assert_victims_match(cgroup, victims, expected, before):
+    """``victims`` are ``expected`` (from :func:`sort_based_victims`)."""
+    assert len(victims) == len(expected)
+    for victim, (region_id, pages, whole) in zip(victims, expected):
+        assert victim.pages == pages
+        if whole:
+            assert victim.region_id == region_id
+        else:
+            parent = cgroup.space.get(region_id)
+            assert victim.region_id not in before
+            assert victim.name == parent.name
+            assert parent.pages == before[region_id][1] - pages
+
+
+def assert_age_heap_bounded(space):
+    heap = space._age_heap
+    candidates = sum(
+        len(list(space.regions(segment, Location.LOCAL)))
+        for segment in (Segment.RUNTIME, Segment.INIT)
+    )
+    assert heap is None or len(heap) <= 2 * candidates + address_space._AGE_HEAP_SLACK
+
+
 class TestTmoVictimsMatchSort:
     @pt.settings(max_examples=200)
     @pt.given(
@@ -279,7 +308,8 @@ class TestTmoVictimsMatchSort:
             region = cgroup.space.allocate(
                 f"r{index % 4}", segment, pages, now=0.0, touched=False
             )
-            region.last_access = last_access
+            if last_access is not None:
+                cgroup.space.touch(region, last_access)
             if offloaded:
                 cgroup.mark_offloaded(region)
         before = {r.region_id: (r.name, r.pages) for r in cgroup.space.regions()}
@@ -287,16 +317,119 @@ class TestTmoVictimsMatchSort:
 
         victims = TmoPolicy()._coldest_victims(SimpleNamespace(cgroup=cgroup), budget)
 
-        assert len(victims) == len(expected)
-        for victim, (region_id, pages, whole) in zip(victims, expected):
-            assert victim.pages == pages
-            if whole:
-                assert victim.region_id == region_id
-            else:
-                parent = cgroup.space.get(region_id)
-                assert victim.region_id not in before
-                assert victim.name == parent.name
-                assert parent.pages == before[region_id][1] - pages
+        assert_victims_match(cgroup, victims, expected, before)
+
+
+_AGE_OPS = pt.lists(
+    pt.tuples(
+        pt.sampled_from(
+            [
+                "alloc", "alloc", "split", "touch", "touch", "offload",
+                "fetch", "fetch_touch", "free", "tmo", "tmo", "tmo",
+            ]
+        ),
+        pt.integers(min_value=0, max_value=1 << 16),
+        pt.integers(min_value=1, max_value=48),
+        pt.sampled_from([0.0, 0.0, 0.25, 1.0]),  # equal times are common
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+class TestAgeIndexMatchesSortOverTime:
+    """One space lives through the whole sequence, so a stale index shows."""
+
+    @pt.settings(max_examples=200)
+    @pt.given(_AGE_OPS)
+    def test_repeated_victims_equal_sorted_victims(self, ops):
+        self.replay(ops)
+
+    @pt.settings(max_examples=100)
+    @pt.given(_AGE_OPS)
+    def test_repeated_victims_with_frequent_rebuilds(self, ops):
+        # No slack: the heap is dropped and rebuilt mid-sequence.
+        with mock.patch.object(address_space, "_AGE_HEAP_SLACK", 0):
+            self.replay(ops)
+
+    @staticmethod
+    def replay(ops):
+        now, node, cgroup = fresh_cgroup()
+        space = cgroup.space
+        tmo = TmoPolicy()
+        container = SimpleNamespace(cgroup=cgroup)
+        live = []
+        for op, pick, size, advance in ops:
+            now[0] += advance
+            local = [r for r in live if r.is_local]
+            remote = [r for r in live if r.is_remote]
+            if op == "alloc":
+                segment = list(Segment)[pick % len(Segment)]
+                live.append(
+                    space.allocate(
+                        NAMES[pick % len(NAMES)], segment, size, now=now[0],
+                        touched=pick % 5 != 0,
+                    )
+                )
+            elif op == "split":
+                splittable = [r for r in live if r.pages > 1]
+                if splittable:
+                    region = splittable[pick % len(splittable)]
+                    live.append(space.split(region, 1 + size % (region.pages - 1)))
+            elif op == "touch" and local:
+                space.touch(local[pick % len(local)], now[0])
+            elif op == "offload" and local:
+                cgroup.mark_offloaded(local[pick % len(local)])
+            elif op in ("fetch", "fetch_touch") and remote:
+                region = remote[pick % len(remote)]
+                cgroup.mark_fetched(region)
+                if op == "fetch_touch":
+                    space.touch(region, now[0])
+            elif op == "free" and live:
+                cgroup.free(live.pop(pick % len(live)))
+            elif op == "tmo":
+                # Small steps like TMO's, and budgets past every local
+                # page that read the whole index.
+                budget = size if pick % 3 else size * 64
+                before = {r.region_id: (r.name, r.pages) for r in space.regions()}
+                expected = sort_based_victims(cgroup, budget)
+                victims = tmo._coldest_victims(container, budget)
+                assert_victims_match(cgroup, victims, expected, before)
+                live.extend(v for v in victims if v.region_id not in before)
+                if pick % 4 == 0:
+                    # The write-outs complete: the victims go remote.
+                    for victim in victims:
+                        cgroup.mark_offloaded(victim)
+            assert_age_heap_bounded(space)
+        assert sorted(r.region_id for r in live) == [r.region_id for r in space.regions()]
+
+    def test_heap_is_rebuilt_past_its_bound(self):
+        _, _, cgroup = fresh_cgroup()
+        space = cgroup.space
+        region = space.allocate("weights", Segment.RUNTIME, 4, now=0.0)
+        assert space.coldest_local(1) == [region]
+        for step in range(2 + _AGE_HEAP_SLACK):
+            space.touch(region, float(step))
+            assert_age_heap_bounded(space)
+        assert space._age_heap is None
+        space.touch(region, 100.0)
+        assert space._age_heap is None  # nothing is pushed until a read
+        assert space.coldest_local(10) == [region]
+        assert space._age_heap == [(100.0, region.region_id)]
+
+    def test_exec_and_remote_regions_are_never_returned(self):
+        _, _, cgroup = fresh_cgroup()
+        space = cgroup.space
+        scratch = space.allocate("stack", Segment.EXEC, 4, now=0.0)
+        init = space.allocate("heap", Segment.INIT, 4, now=1.0)
+        runtime = space.allocate("weights", Segment.RUNTIME, 4, now=2.0)
+        assert space.coldest_local(100) == [init, runtime]
+        cgroup.mark_offloaded(init)
+        space.touch(scratch, 3.0)
+        assert space.coldest_local(100) == [runtime]
+        cgroup.mark_fetched(init)  # back with its old age, not re-touched
+        assert space.coldest_local(100) == [init, runtime]
+        assert space.coldest_local(100) == [init, runtime]
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the interconnect model."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,3 +75,23 @@ class TestAccounting:
     def test_zero_page_transfer_not_recorded(self, link):
         link.transfer(0.0, 0, LinkDirection.OUT)
         assert link.bytes_moved(LinkDirection.OUT) == 0
+
+
+class TestDirectionHashing:
+    def test_hash_is_identity(self):
+        for direction in LinkDirection:
+            assert hash(direction) == object.__hash__(direction)
+
+    def test_keyed_dict_survives_pickle(self, link):
+        link.transfer(0.0, 100, LinkDirection.OUT)
+        link.transfer(0.0, 30, LinkDirection.IN)
+        for keyed in ({LinkDirection.OUT: 1, LinkDirection.IN: 2}, link._busy_until):
+            restored = pickle.loads(pickle.dumps(keyed))
+            assert restored == keyed
+            for direction in LinkDirection:
+                assert restored[direction] == keyed[direction]
+        clone = pickle.loads(pickle.dumps(link))
+        assert clone.bytes_moved(LinkDirection.OUT) == 100 * PAGE_SIZE
+        assert clone.queue_delay(0.0, LinkDirection.IN) == link.queue_delay(
+            0.0, LinkDirection.IN
+        )
