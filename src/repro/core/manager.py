@@ -109,10 +109,13 @@ class FaaSMemPolicy(OffloadPolicy):
             # will stop" (§6.2).
             ctl.semiwarm.cancel()
 
+    def on_regions_touched(self, container, regions, remote_ids) -> None:
+        state = self._ctl[container.container_id].state
+        if state is not None:
+            state.on_touched_many(regions, remote_ids)
+
     def on_region_touched(self, container, region, was_remote: bool = False) -> None:
-        ctl = self._ctl[container.container_id]
-        if ctl.state is not None:
-            ctl.state.on_touched(region, was_remote=was_remote)
+        self.on_regions_touched(container, (region,), (region.region_id,) if was_remote else ())
 
     def on_request_complete(self, container, record) -> None:
         ctl = self._ctl[container.container_id]

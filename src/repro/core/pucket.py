@@ -14,7 +14,7 @@ kernel implementation (§7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import FaaSMemConfig
 from repro.errors import PolicyError
@@ -144,8 +144,10 @@ class ContainerMemoryState:
     """Per-container Pucket machinery.
 
     Created when the runtime segment finishes loading; the init Pucket
-    appears when initialization completes. All page movements flow
-    through :meth:`on_touched`.
+    appears when initialization completes. Touches move pages into the
+    hot pool through :meth:`on_touched_many`, one call per request;
+    offloads move them out through :meth:`note_offload` and rollback
+    returns them through :meth:`roll_back_hot_pool`.
     """
 
     def __init__(
@@ -203,26 +205,48 @@ class ContainerMemoryState:
     # ------------------------------------------------------------------
 
     def on_touched(self, region: PageRegion, was_remote: bool = False) -> None:
-        """A request touched ``region``: promote it to the hot pool.
+        """One touched region (see :meth:`on_touched_many`)."""
+        self.on_touched_many((region,), (region.region_id,) if was_remote else ())
+
+    def on_touched_many(
+        self, regions: Iterable[PageRegion], remote_ids: Collection[int]
+    ) -> None:
+        """A request touched ``regions``: promote each to the hot pool, in order.
 
         Handles both first-touch promotion off an inactive list and the
         recall of a previously offloaded Pucket page (which the swap
-        layer has already faulted back in). ``was_remote`` distinguishes
-        a true remote recall from an aborted in-flight offload.
+        layer has already faulted back in). ``remote_ids`` holds the ids
+        that were remote before the request, which tells a true remote
+        recall from an aborted in-flight offload. An already-hot region
+        stays put: the hot pool shares no region with any Pucket's
+        inactive or offloaded set. Untracked regions (exec scratch,
+        unsealed split-off slices) are skipped.
         """
-        if region in self.hot_pool:
-            # Already hot. The hot pool shares no region with any
-            # Pucket's inactive or offloaded set, so neither holds it.
-            return
-        for pucket in (self.runtime_pucket, self.init_pucket):
-            src = pucket.take(region)
-            if src is not None:
-                if was_remote and src == "offloaded":
-                    self.recall_counts[pucket.name] += 1
-                self.hot_pool.add(region, pucket)
+        hot = self.hot_pool._entries
+        runtime, init = self.runtime_pucket, self.init_pucket
+        runtime_inactive, runtime_offloaded = runtime._inactive, runtime._offloaded
+        init_inactive, init_offloaded = init._inactive, init._offloaded
+        recall_counts = self.recall_counts
+        traced = self.tracer is not None
+        for region in regions:
+            region_id = region.region_id
+            if region_id in hot:
+                continue
+            if runtime_inactive.pop(region_id, None) is not None:
+                pucket, src = runtime, "inactive"
+            elif runtime_offloaded.pop(region_id, None) is not None:
+                pucket, src = runtime, "offloaded"
+            elif init_inactive.pop(region_id, None) is not None:
+                pucket, src = init, "inactive"
+            elif init_offloaded.pop(region_id, None) is not None:
+                pucket, src = init, "offloaded"
+            else:
+                continue
+            if src == "offloaded" and region_id in remote_ids:
+                recall_counts[pucket.name] += 1
+            hot[region_id] = (region, pucket)
+            if traced:
                 self._emit_move(EventKind.PUCKET_PROMOTE, pucket, region, src)
-                return
-        # An untracked (exec or unsealed split-off) region: nothing to do.
 
     def on_freed(self, region: PageRegion) -> None:
         """Forget a freed region everywhere."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import zlib
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional
+from typing import TYPE_CHECKING, Collection, Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -213,12 +213,7 @@ class Container:
                 stall += self.platform.fastswap.fault(
                     owner, victims, cpu_share=self.profile.cpu_share
                 )
-        shared = self._shared_runtime
-        on_region_touched = self.platform.policy.on_region_touched
-        for region in touched:
-            owner = self.cgroup if shared is None else self._owner_cgroup(region)
-            owner.touch(region)
-            on_region_touched(self, region, was_remote=region.region_id in remote_ids)
+        self._touch(touched, remote_ids)
         self._exec_region = self.cgroup.allocate(
             "exec/scratch", Segment.EXEC, pages_from_mib(self.profile.exec_mib)
         )
@@ -249,7 +244,19 @@ class Container:
             touched.extend(
                 self.profile.init_layout.request_regions(self.init_state, self.rng)
             )
-        return self._expand_families(region for region in touched if not region.freed)
+        return self._expand_families([region for region in touched if not region.freed])
+
+    def _touch(self, regions: List[PageRegion], remote_ids: Collection[int]) -> None:
+        """Touch ``regions`` in their owners, then report them to the policy.
+
+        ``remote_ids`` names the regions that were faulted in for this
+        touch. Touching emits no trace event and each owner's state is
+        its own, so touching every region before any hook runs leaves
+        the hooks' events in the order a per-region walk emits them.
+        """
+        for owner, group in self._group_by_owner(regions).items():
+            owner.touch_many(group)
+        self.platform.policy.on_regions_touched(self, regions, remote_ids)
 
     def _owner_cgroup(self, region: PageRegion) -> Cgroup:
         """The cgroup a region belongs to (shared runtime vs own)."""
@@ -257,7 +264,10 @@ class Container:
             return self._shared_runtime.cgroup
         return self.cgroup
 
-    def _group_by_owner(self, regions) -> dict:
+    def _group_by_owner(self, regions: List[PageRegion]) -> dict:
+        """``{owner cgroup: its regions in list order}``."""
+        if self._shared_runtime is None:
+            return {self.cgroup: regions}
         grouped: dict = {}
         for region in regions:
             grouped.setdefault(self._owner_cgroup(region), []).append(region)
@@ -274,19 +284,24 @@ class Container:
         member are expanded; the rest contribute just their base.
         """
         expanded = {}
-        split = {}
+        split = None
         own_space = self.cgroup.space
         shared = self._shared_runtime
         for region in regions:
             expanded[region.region_id] = region
             space = own_space if shared is None else self._owner_cgroup(region).space
-            family = (region.name, region.segment)
-            if space.family_size(*family) > 1:
-                split[family] = space
-        # Siblings follow in (name, segment) order, the order every
-        # pinned digest and fingerprint was recorded with.
+            members = space.family(region.name, region.segment)
+            if len(members) > 1:
+                if split is None:
+                    split = {}
+                split[(region.name, region.segment)] = members
+        if split is None:
+            return list(expanded.values())
+        # Siblings follow in (name, segment) order, ids ascending within
+        # each family: the order every pinned digest and fingerprint
+        # was recorded with.
         for family in sorted(split, key=lambda ns: (ns[0], ns[1].value)):
-            for sibling in split[family].find(*family):
+            for sibling in split[family].values():
                 expanded.setdefault(sibling.region_id, sibling)
         return list(expanded.values())
 
@@ -355,17 +370,24 @@ class Container:
             return
         if self.runtime_hot.freed:
             return
+        # The family is touched in runs that each start at a remote
+        # slice, faulted back first (the ping is asynchronous so nobody
+        # blocks on the stall, but the recall traffic is real). Each
+        # fault's events thus follow the earlier runs' PROMOTEs and
+        # precede its own run's, as fault, touch and hook per region
+        # would emit them.
+        run: List[PageRegion] = []
+        remote_ids: Tuple[int, ...] = ()
         for region in self._expand_families([self.runtime_hot]):
-            was_remote = region.is_remote
-            owner = self._owner_cgroup(region)
-            if was_remote:
-                # Fault it back; the ping is asynchronous so nobody
-                # blocks on the stall, but the recall traffic is real.
+            if region.is_remote:
+                if run:
+                    self._touch(run, remote_ids)
                 self.platform.fastswap.fault(
-                    owner, [region], cpu_share=self.profile.cpu_share
+                    self._owner_cgroup(region), [region], cpu_share=self.profile.cpu_share
                 )
-            owner.touch(region)
-            self.platform.policy.on_region_touched(self, region, was_remote=was_remote)
+                run, remote_ids = [], (region.region_id,)
+            run.append(region)
+        self._touch(run, remote_ids)
 
     def _stop_heartbeat(self) -> None:
         if self._heartbeat is not None:

@@ -9,7 +9,7 @@ implementations, so experiments can swap them freely.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faas.container import Container
@@ -59,13 +59,33 @@ class OffloadPolicy:
     def on_request_start(self, container: "Container") -> None:
         """A request begins executing on the container."""
 
+    def on_regions_touched(
+        self,
+        container: "Container",
+        regions: Sequence["PageRegion"],
+        remote_ids: Collection[int],
+    ) -> None:
+        """A request touched ``regions``, in this order (after any fault-in).
+
+        ``remote_ids`` holds the ids of the regions this touch had to
+        recall from the pool. Called once per request, after the whole
+        working set is touched. The default reports each region to
+        :meth:`on_region_touched`, in order.
+        """
+        for region in regions:
+            self.on_region_touched(
+                container, region, was_remote=region.region_id in remote_ids
+            )
+
     def on_region_touched(
         self, container: "Container", region: "PageRegion", was_remote: bool = False
     ) -> None:
         """A request touched ``region`` (after any fault-in).
 
         ``was_remote`` reports whether this touch had to recall the
-        region from the pool.
+        region from the pool. Reached through the default
+        :meth:`on_regions_touched`; a policy overriding that need not
+        implement this.
         """
 
     def on_request_complete(

@@ -3,7 +3,19 @@
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import MemoryError_
 from repro.mem.page import Location, PageRegion, Segment
@@ -17,6 +29,8 @@ _AGED = frozenset((Segment.RUNTIME, Segment.INIT))
 # The age heap is dropped, to be rebuilt from the local buckets on the
 # next read, once it holds more than twice its candidates plus this.
 _AGE_HEAP_SLACK = 64
+# What :meth:`AddressSpace.family` returns for a family with no members.
+_NO_MEMBERS: Mapping[int, PageRegion] = MappingProxyType({})
 
 
 def _age_key(region: PageRegion) -> Tuple[float, int]:
@@ -48,16 +62,24 @@ class AddressSpace:
     ``age`` is ``last_access`` or ``-1.0`` if never touched. It is built
     from the local buckets on the first read, so a space that is never
     asked pays one ``is None`` check per allocate, split, relocate,
-    touch and free. Once built, an entry is pushed whenever a candidate
-    appears or changes age (allocate, split, touch, relocate to LOCAL)
-    and never removed eagerly; a read drops the stale ones, and a heap
-    grown past twice its candidates plus ``_AGE_HEAP_SLACK`` is dropped
-    and rebuilt on the next read. This is exact only
-    because a live region's ``last_access`` changes only through
-    :meth:`PageRegion.touch` called from :meth:`allocate`/:meth:`touch`,
-    its ``location`` only through :meth:`relocate`, and a sibling is
-    created only through :meth:`split`. Writing ``region.last_access``
-    directly on a live region would make a built index stale.
+    touch batch and free. Once built, an entry is pushed whenever a
+    candidate appears or changes age (allocate, split, touch, relocate
+    to LOCAL) and never removed eagerly; a read drops the stale ones,
+    and a heap grown past twice its candidates plus ``_AGE_HEAP_SLACK``
+    is dropped and rebuilt on the next read. This is exact only
+    because a live region's ``last_access`` changes only in
+    :meth:`allocate` (through :meth:`PageRegion.touch`) and
+    :meth:`touch_many`, its ``location`` only through :meth:`relocate`,
+    and a sibling is created only through :meth:`split`. Writing
+    ``region.last_access`` anywhere else on a live region would make a
+    built index stale.
+
+    Accesses arrive a batch at a time (:meth:`touch_many`, one per
+    request and owner): the batch is validated whole, then applied in
+    order, and the age heap is bounded once after the batch's pushes.
+    A touch adds no candidate, so the bound is the same for every push
+    of a batch and the heap only grows within it: one check at the end
+    drops the heap exactly when a check after some push would have.
     """
 
     def __init__(self, owner: str = "") -> None:
@@ -199,18 +221,38 @@ class AddressSpace:
     # ------------------------------------------------------------------
 
     def touch(self, region: PageRegion, now: float) -> None:
-        """Record a CPU access to ``region``.
+        """Record one CPU access to ``region`` (see :meth:`touch_many`)."""
+        self.touch_many((region,), now)
 
+    def touch_many(self, regions: Sequence[PageRegion], now: float) -> None:
+        """Record one CPU access to each of ``regions``, in order, at ``now``.
+
+        The whole batch is checked before anything changes: a region
+        that is freed, unknown to this space or remote raises
+        :class:`MemoryError_` and leaves every region as it was.
         Touching a remote region does *not* migrate it — the swap
         datapath (:mod:`repro.pool.fastswap`) owns migration; callers
-        are expected to fault the region in first and account the
-        latency.
+        fault the region in first and account the latency.
         """
-        if region.region_id not in self._regions:
-            raise MemoryError_(f"touch of unknown region {region.name!r}")
-        region.touch(now)
-        if self._age_heap is not None:
-            self._push_age(region)
+        known = self._regions
+        for region in regions:
+            if known.get(region.region_id) is not region or region.freed:
+                raise MemoryError_(f"touch of unknown or freed region {region.name!r}")
+            if region.location is not _LOCAL:
+                raise MemoryError_(
+                    f"touch of remote region {region.name!r}; fault it in first"
+                )
+        for region in regions:
+            # PageRegion.touch's updates; the freed check is done above.
+            region.accessed = True
+            region.last_access = now
+            region.access_count += 1
+        heap = self._age_heap
+        if heap is not None:
+            for region in regions:
+                if region.segment in _AGED:
+                    heappush(heap, (now, region.region_id))
+            self._bound_age_heap()
 
     # ------------------------------------------------------------------
     # Age index
@@ -309,25 +351,28 @@ class AddressSpace:
         except KeyError:
             raise MemoryError_(f"no region with id {region_id}") from None
 
+    def family(self, name: str, segment: Segment) -> Mapping[int, PageRegion]:
+        """The live regions named ``name`` in ``segment``, by id in id order.
+
+        A live view of the index, not a copy: read it before the space
+        changes again, and never write to it. More than one member
+        means the region was split into slices.
+        """
+        return self._families.get((name, segment), _NO_MEMBERS)
+
     def find(self, name: str, segment: Optional[Segment] = None) -> List[PageRegion]:
         """Return live regions whose name matches exactly, in id order."""
         if segment is not None:
-            return list(self._families.get((name, segment), {}).values())
+            return list(self.family(name, segment).values())
         found = [
-            region
-            for each in Segment
-            for region in self._families.get((name, each), {}).values()
+            region for each in Segment for region in self.family(name, each).values()
         ]
         found.sort(key=lambda region: region.region_id)
         return found
 
     def family_size(self, name: str, segment: Segment) -> int:
-        """Number of live regions named ``name`` in ``segment``.
-
-        More than one means the region was split into slices.
-        """
-        family = self._families.get((name, segment))
-        return 0 if family is None else len(family)
+        """Number of live regions named ``name`` in ``segment``."""
+        return len(self.family(name, segment))
 
     def pages(
         self,

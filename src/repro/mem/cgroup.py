@@ -7,9 +7,8 @@ and fetches, and feeds accesses into the MGLRU generation lists.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
-from repro.errors import MemoryError_
 from repro.mem.address_space import AddressSpace
 from repro.mem.mglru import MultiGenLru
 from repro.mem.node import ComputeNode
@@ -51,13 +50,18 @@ class Cgroup:
         return self.space.allocate(name, segment, pages, now=self._clock())
 
     def touch(self, region: PageRegion) -> None:
-        """Record an access; remote regions must be fetched first."""
-        if region.is_remote:
-            raise MemoryError_(
-                f"touch of remote region {region.name!r}; fault it in first"
-            )
-        self.space.touch(region, now=self._clock())
-        self.mglru.note_access(region)
+        """Record one access (see :meth:`touch_many`)."""
+        self.touch_many((region,))
+
+    def touch_many(self, regions: Sequence[PageRegion]) -> None:
+        """Record one access to each region, in order, at one clock read.
+
+        Remote regions must be fetched first: a remote, freed or
+        foreign region in the batch raises ``MemoryError_`` before
+        any region or generation changes.
+        """
+        self.space.touch_many(regions, self._clock())
+        self.mglru.note_access_many(regions)
 
     def free(self, region: PageRegion) -> None:
         self.space.free(region)

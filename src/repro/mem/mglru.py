@@ -10,7 +10,7 @@ live in :mod:`repro.core.pucket` on top of it.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import MemoryError_
 from repro.mem.page import PageRegion
@@ -113,19 +113,31 @@ class MultiGenLru:
         self._member[region.region_id] = target
 
     def note_access(self, region: PageRegion) -> Optional[Generation]:
-        """Promote an accessed region to the youngest generation.
+        """Promote one accessed region (see :meth:`note_access_many`).
 
         Returns the generation the region came from, or None when the
         region is not tracked (e.g. exec-segment scratch).
         """
         origin = self._member.get(region.region_id)
-        if origin is None:
-            return None
-        if origin is not self.youngest:
-            origin.discard(region)
-            self.youngest.add(region)
-            self._member[region.region_id] = self.youngest
+        self.note_access_many((region,))
         return origin
+
+    def note_access_many(self, regions: Iterable[PageRegion]) -> None:
+        """Promote each accessed region to the youngest generation, in order.
+
+        Untracked regions (e.g. exec-segment scratch) are skipped.
+        """
+        youngest = self._generations[-1]
+        young = youngest._regions
+        member = self._member
+        for region in regions:
+            region_id = region.region_id
+            origin = member.get(region_id)
+            if origin is None or origin is youngest:
+                continue
+            del origin._regions[region_id]
+            young[region_id] = region
+            member[region_id] = youngest
 
     def move(self, region: PageRegion, generation: Generation) -> None:
         """Explicitly move a tracked region to ``generation`` (rollback)."""

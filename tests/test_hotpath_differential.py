@@ -23,6 +23,14 @@
 * ``ContainerMemoryState.on_touched``'s hot-first return vs the
   four-pop walk over both Puckets, with the hot pool disjoint from
   every inactive and offloaded set after each step.
+* The batched touch path (``Container._touch``: ``Cgroup.touch_many``
+  per owner, then one ``on_regions_touched``) vs the per-region walk
+  it replaced (``Cgroup.touch``, ``AddressSpace.touch``,
+  ``MultiGenLru.note_access`` and ``ContainerMemoryState.on_touched``
+  as they were, kept here as the reference): region access fields,
+  MGLRU order, the age index and its victims, Pucket and hot-pool
+  placements, recall counts and PROMOTE events after every step; and a
+  rejected batch changes nothing.
 * ``replay_keepalive``'s idle and busy deques vs scanning every live
   span per arrival: every ``ContainerSpan`` field in the same order,
   cold starts and request counts, over random arrivals with duplicate
@@ -48,17 +56,21 @@ import pytest
 from repro.baselines import NoOffloadPolicy
 from repro.baselines.tmo import TmoPolicy
 from repro.core.config import FaaSMemConfig
+from repro.core.manager import FaaSMemPolicy
 from repro.core.profiler import FunctionProfiler, sorted_percentile
 from repro.core.pucket import ContainerMemoryState
+from repro.errors import MemoryError_
 from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.faas.container import ContainerState
 from repro.faas.controller import Controller
+from repro.faas.policy import OffloadPolicy
 from repro.faas.request import Invocation
 from repro.mem import address_space
 from repro.mem.address_space import _AGE_HEAP_SLACK
 from repro.mem.cgroup import Cgroup
 from repro.mem.node import ComputeNode
 from repro.mem.page import Location, Segment
+from repro.obs.trace import EventKind
 from repro.pool.fastswap import Fastswap
 from repro.pool.link import Link, LinkConfig, LinkDirection
 from repro.pool.tier import TieredPool, TierSpec, TierTopology
@@ -982,6 +994,243 @@ class TestPucketTouchMatchesFourPopWalk:
             elif op == "exec":
                 cgroup.allocate("exec/scratch", Segment.EXEC, 2)
             assert_hot_pool_disjoint(state)
+
+
+# ----------------------------------------------------------------------
+# Batched touch path vs the per-region walk it replaced
+# ----------------------------------------------------------------------
+
+
+def per_region_space_touch(space, region, now):
+    """``AddressSpace.touch`` as it was before batching."""
+    if region.region_id not in space._regions:
+        raise MemoryError_(f"touch of unknown region {region.name!r}")
+    region.touch(now)
+    if space._age_heap is not None:
+        space._push_age(region)
+
+
+def per_region_note_access(lru, region):
+    """``MultiGenLru.note_access`` as it was before batching."""
+    origin = lru._member.get(region.region_id)
+    if origin is None:
+        return None
+    if origin is not lru.youngest:
+        origin.discard(region)
+        lru.youngest.add(region)
+        lru._member[region.region_id] = lru.youngest
+    return origin
+
+
+def per_region_cgroup_touch(cgroup, region):
+    """``Cgroup.touch`` as it was before batching."""
+    if region.is_remote:
+        raise MemoryError_(f"touch of remote region {region.name!r}; fault it in first")
+    per_region_space_touch(cgroup.space, region, now=cgroup._clock())
+    per_region_note_access(cgroup.mglru, region)
+
+
+def per_region_on_touched(state, region, was_remote):
+    """``ContainerMemoryState.on_touched`` as it was before batching."""
+    if region in state.hot_pool:
+        return
+    for pucket in (state.runtime_pucket, state.init_pucket):
+        src = pucket.take(region)
+        if src is not None:
+            if was_remote and src == "offloaded":
+                state.recall_counts[pucket.name] += 1
+            state.hot_pool.add(region, pucket)
+            state._emit_move(EventKind.PUCKET_PROMOTE, pucket, region, src)
+            return
+
+
+def per_region_request_touch(container, state, regions, remote_ids):
+    """``Container._start_next``'s loop before batching: touch, then
+    ``FaaSMemPolicy.on_region_touched``, one region at a time."""
+    for region in regions:
+        per_region_cgroup_touch(container._owner_cgroup(region), region)
+        per_region_on_touched(state, region, was_remote=region.region_id in remote_ids)
+
+
+def faasmem_container():
+    """One warm json container under FaaSMem that only the test moves.
+
+    No heartbeat, no semi-warm and a keep-alive past the test's clock,
+    so running the engine only advances time. The test relocates
+    regions itself, so the swap datapath is unhooked from frees.
+    """
+    policy = FaaSMemPolicy(FaaSMemConfig(enable_semiwarm=False))
+    platform = ServerlessPlatform(
+        policy, config=PlatformConfig(seed=5, heartbeat_s=0.0, keep_alive_s=1e9)
+    )
+    platform.register_function("json", get_profile("json"))
+    platform.submit("json", 0.0)
+    platform.engine.run(until=30.0)
+    [container] = platform.controller.all_containers()
+    container.cgroup.on_remote_freed.clear()
+    state = policy._ctl[container.container_id].state
+    state.tracer = _Recorder()
+    return container, state
+
+
+def touch_snapshot(container, state, victims):
+    """Everything a touch may change, in order, as plain values."""
+    space = container.cgroup.space
+    heap = space._age_heap
+    return {
+        "regions": [
+            (r.region_id, r.name, r.segment, r.pages, r.location,
+             r.accessed, r.last_access, r.access_count)
+            for r in space.regions()
+        ],
+        "generations": [
+            (gen.seq, [r.region_id for r in gen]) for gen in container.cgroup.mglru.generations
+        ],
+        "age_heap": None if heap is None else list(heap),
+        "victims": victims,
+        "puckets": [
+            ([r.region_id for r in p.inactive_regions], [r.region_id for r in p.offloaded_regions])
+            for p in (state.runtime_pucket, state.init_pucket)
+        ],
+        "hot": [(region.region_id, origin.name) for region, origin in state.hot_pool.entries()],
+        "recalls": dict(state.recall_counts),
+        "events": list(state.tracer.events),
+    }
+
+
+_TOUCH_OPS = pt.lists(
+    pt.tuples(
+        pt.sampled_from(
+            ["request", "request", "request", "split", "offload", "abort", "fetch",
+             "free", "rollback", "generation", "tmo", "alloc"]
+        ),
+        pt.integers(min_value=0, max_value=1 << 16),
+        pt.integers(min_value=0, max_value=1 << 16),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestBatchedTouchMatchesPerRegion:
+    """``Container._touch`` (one ``Cgroup.touch_many`` per owner, one
+    ``on_regions_touched``) vs the per-region walk, over one persistent
+    container and Pucket state per example: both replay the same
+    operations from the same start (platforms restart region ids), and
+    every step's snapshot must be equal."""
+
+    @staticmethod
+    def replay(ops, batched):
+        container, state = faasmem_container()
+        cgroup, space = container.cgroup, container.cgroup.space
+        engine = container.platform.engine
+        snapshots = []
+        for step, (op, pick, size) in enumerate(ops):
+            engine.run(until=31.0 + step)
+            now = engine.now
+            live = list(space.regions())
+            local = [r for r in live if r.is_local]
+            aged = [r for r in local if r.segment is not Segment.EXEC]
+            remote = [r for r in live if r.is_remote]
+            victims = None
+            if op == "request":
+                # A duplicate-free working set in any order; remote
+                # members are faulted in first, as _start_next does.
+                rng = random.Random(pick)
+                regions = rng.sample(live, rng.randint(0, len(live)))
+                remote_ids = {r.region_id for r in regions if r.is_remote}
+                for region in regions:
+                    if region.is_remote:
+                        cgroup.mark_fetched(region)
+                if batched:
+                    container._touch(regions, remote_ids)
+                else:
+                    per_region_request_touch(container, state, regions, remote_ids)
+            elif op == "split" and any(r.pages > 1 for r in aged):
+                # Semi-warm's last victim: a slice split off and sent out.
+                splittable = [r for r in aged if r.pages > 1]
+                region = splittable[pick % len(splittable)]
+                sibling = space.split(region, 1 + size % (region.pages - 1))
+                state.note_offload(sibling)
+                cgroup.mark_offloaded(sibling)
+            elif op in ("offload", "abort") and aged:
+                region = aged[pick % len(aged)]
+                state.note_offload(region)
+                if op == "offload":  # "abort": re-dirtied in flight, stays local
+                    cgroup.mark_offloaded(region)
+            elif op == "fetch" and remote:
+                cgroup.mark_fetched(remote[pick % len(remote)])
+            elif op == "free" and len(live) > 1:
+                region = live[pick % len(live)]
+                state.on_freed(region)
+                cgroup.free(region)
+            elif op == "rollback":
+                state.roll_back_hot_pool(now)
+            elif op == "generation":
+                cgroup.mglru.new_generation(now, label="test")
+            elif op == "tmo":
+                budget = 1 + size % (2 * max(1, space.local_pages))
+                victims = [r.region_id for r in space.coldest_local(budget)]
+            elif op == "alloc":
+                segment = list(Segment)[pick % len(Segment)]
+                name = ("init/hot", "runtime/hot", "extra")[size % 3]
+                cgroup.allocate(name, segment, 1 + size % 64)
+            snapshots.append(touch_snapshot(container, state, victims))
+        return snapshots
+
+    @pt.settings(max_examples=100)
+    @pt.given(_TOUCH_OPS)
+    def test_batch_equals_per_region_walk(self, ops):
+        batched = self.replay(ops, batched=True)
+        walked = self.replay(ops, batched=False)
+        for step, (got, expected) in enumerate(zip(batched, walked)):
+            for key in expected:
+                assert got[key] == expected[key], f"step {step} ({ops[step][0]}): {key}"
+
+    def test_default_hook_reports_each_region_in_order(self):
+        calls = []
+
+        class Recorder(OffloadPolicy):
+            def on_region_touched(self, container, region, was_remote=False):
+                calls.append((container, region, was_remote))
+
+        regions = [SimpleNamespace(region_id=i) for i in (3, 1, 2)]
+        Recorder().on_regions_touched("c", regions, {1})
+        assert calls == [("c", region, region.region_id == 1) for region in regions]
+
+
+class TestTouchBatchIsAllOrNothing:
+    @pytest.mark.parametrize("bad", ["remote", "unknown", "freed"])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_rejected_batch_changes_nothing(self, bad, position):
+        now, _, cgroup = fresh_cgroup()
+        good = [
+            cgroup.allocate(f"r{i}", (Segment.RUNTIME, Segment.INIT, Segment.EXEC)[i % 3], 2)
+            for i in range(4)
+        ]
+        culprit = cgroup.allocate("bad", Segment.INIT, 2)
+        if bad == "remote":
+            cgroup.mark_offloaded(culprit)
+        elif bad == "unknown":
+            culprit = fresh_cgroup()[2].allocate("bad", Segment.INIT, 2)
+        else:
+            cgroup.free(culprit)
+        cgroup.space.coldest_local(1)  # build the age index
+        cgroup.mglru.new_generation(1.0)
+        now[0] = 2.0
+        batch = good[:position] + [culprit] + good[position:]
+
+        def state():
+            return (
+                [(r.accessed, r.last_access, r.access_count) for r in batch],
+                [cgroup.mglru.generation_of(r) for r in batch],
+                list(cgroup.space._age_heap),
+            )
+
+        before = state()
+        with pytest.raises(MemoryError_):
+            cgroup.touch_many(batch)
+        assert state() == before
 
 
 # ----------------------------------------------------------------------
