@@ -23,13 +23,13 @@ from repro.baselines import DamonPolicy, NoOffloadPolicy, TmoPolicy
 from repro.core import FaaSMemConfig, FaaSMemPolicy
 from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.faults import FaultInjector, FaultSchedule, FaultSpec, RecoveryConfig
+from repro.pool import TieredPool, TierSpec, TierTopology
 from repro.pressure import (
     DegradationTier,
     MemoryPressureGovernor,
     PressureConfig,
     ShedReason,
 )
-from repro.tier import TieredPool, TierSpec, TierTopology
 from repro.traces import generate_azure_like, sample_function_trace
 from repro.workloads import all_benchmarks, get_profile
 

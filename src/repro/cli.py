@@ -5,7 +5,12 @@ Usage::
     python -m repro list
     python -m repro run fig12 [--json out.json] [--quick] [--jobs 4]
     python -m repro run all --quick
-    python -m repro bench --quick [--profile 15]
+    python -m repro run fig08 --quick --audit --faults 'seed=43,intensity=2'
+    python -m repro trace fig04 --audit [--json e.json] [--csv e.csv]
+
+``--audit`` and ``--faults`` set the run context (:mod:`repro.context`)
+that every platform the experiment builds reads. Performance is
+measured by ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.context import using
 from repro.experiments import get_experiment, list_experiments, run_experiment
 from repro.metrics.export import to_json
 from repro.units import HOUR
@@ -111,52 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="print the last N buffered events per session",
     )
-    bench = sub.add_parser(
-        "bench",
-        help="wall-clock benchmark harness; writes BENCH_perf.json",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced-scale bench (CI smoke scale)",
-    )
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the parallel sweep measurements "
-        "(0 = one per CPU; default $REPRO_JOBS or 1)",
-    )
-    bench.add_argument(
-        "--out",
-        default="BENCH_perf.json",
-        metavar="PATH",
-        help="where to write the bench record (default: BENCH_perf.json)",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline BENCH_perf.json to compare against "
-        "(default: the --out path, when it already exists)",
-    )
-    bench.add_argument(
-        "--profile",
-        nargs="?",
-        const=15,
-        type=int,
-        default=0,
-        metavar="N",
-        help="cProfile the serial fig12 smoke and report the top-N "
-        "cumulative hot spots (default N: 15)",
-    )
-    bench.add_argument(
-        "--no-digest-check",
-        action="store_true",
-        help="do not fail when the audited fig12 smoke digest differs "
-        "from the baseline record",
-    )
     return parser
 
 
@@ -203,11 +163,8 @@ def _trace_command(args) -> int:
     from repro.obs import runtime as obs
 
     obs.reset_sessions()
-    obs.enable(trace=True, audit=args.audit)
-    try:
+    with using(trace=True, audit=args.audit):
         _run_one(args.experiment, args.quick, None)
-    finally:
-        obs.disable()
     sessions = obs.sessions()
     if not sessions:
         print("trace: experiment registered no traced platforms")
@@ -246,53 +203,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "trace":
         return _trace_command(args)
-    if args.command == "bench":
-        from repro.perf.bench import render_bench, run_bench
-
-        result = run_bench(
-            quick=args.quick,
-            jobs=args.jobs,
-            profile_top=args.profile,
-            out_path=args.out,
-            baseline_path=args.baseline,
-        )
-        print(render_bench(result))
-        baseline = result.get("baseline")
-        if baseline and not baseline["digest_match"] and not args.no_digest_check:
-            print(
-                "bench: audited fig12 smoke digest changed vs baseline",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
+    fields = {}
     if args.audit:
         from repro.obs import runtime as obs
 
         obs.reset_sessions()
-        obs.enable(trace=True, audit=True)
-    faults_spec = getattr(args, "faults", None)
-    if faults_spec:
+        fields.update(trace=True, audit=True)
+    if args.faults:
         from repro.faults import FaultSpec
-        from repro.faults import runtime as faults_runtime
 
-        faults_runtime.install(FaultSpec.parse(faults_spec))
-    try:
-        jobs = getattr(args, "jobs", None)
+        fields["faults"] = FaultSpec.parse(args.faults)
+    with using(**fields):
         if args.experiment == "all":
             for name in list_experiments():
-                _run_one(name, args.quick, None, plot=args.plot, jobs=jobs)
+                _run_one(name, args.quick, None, plot=args.plot, jobs=args.jobs)
                 print()
         else:
-            _run_one(args.experiment, args.quick, args.json, plot=args.plot, jobs=jobs)
-    finally:
-        if faults_spec:
-            from repro.faults import runtime as faults_runtime
-
-            faults_runtime.clear()
-        if args.audit:
-            from repro.obs import runtime as obs
-
-            obs.disable()
+            _run_one(args.experiment, args.quick, args.json, plot=args.plot, jobs=args.jobs)
     if args.audit:
         return 1 if _report_audit() else 0
     return 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro import context
 from repro.errors import TraceError
 from repro.faas.controller import Controller
 from repro.faas.function import FunctionSpec
@@ -26,7 +27,6 @@ from repro.pool.link import LinkConfig, LinkDirection
 from repro.pool.tier import TieredPool, TierTopology
 from repro.sim.engine import Engine
 from repro.sim.randomness import RandomStreams
-from repro.tier import runtime as tier_runtime
 from repro.units import MINUTE
 from repro.workloads.profile import WorkloadProfile
 
@@ -67,24 +67,23 @@ class PlatformConfig:
     # auditor to the trace stream.
     trace_events: bool = False
     audit_events: bool = False
-    trace_capacity: int = 1 << 16
+    trace_capacity: int = context.DEFAULT_TRACE_CAPACITY
     # Deterministic fault injection (repro.faults): a FaultSpec (one
     # concrete schedule is drawn from it) or a ready FaultSchedule.
-    # None falls back to the process-wide default installed via
-    # repro.faults.runtime (the CLI --faults flag); with neither set,
-    # no injector is constructed at all and the datapath stays on its
-    # zero-cost ``injector is None`` path.
+    # None falls back to the run context's ``faults`` (the CLI
+    # --faults flag); with neither set, no injector is constructed at
+    # all and the datapath stays on its zero-cost
+    # ``injector is None`` path.
     faults: Optional[object] = None
     # Memory-pressure governor (repro.pressure): a PressureConfig.
-    # None falls back to the process-wide default installed via
-    # repro.pressure.runtime; with neither set, no governor is
-    # constructed and every hook stays on its zero-cost
-    # ``governor is None`` path.
+    # None falls back to the run context's ``pressure``; with neither
+    # set, no governor is constructed and every hook stays on its
+    # zero-cost ``governor is None`` path.
     pressure: Optional[object] = None
-    # Pool hierarchy (repro.tier): a TierTopology. None falls back to
-    # the process-wide default installed via repro.tier.runtime; with
-    # neither set the platform builds TierTopology.flat(), the paper's
-    # single memory node: one tier, one shard named mempool-0 with
+    # Pool hierarchy (repro.pool.tier): a TierTopology. None falls
+    # back to the run context's ``tiers``; with neither set the
+    # platform builds TierTopology.flat(), the paper's single memory
+    # node: one tier, one shard named mempool-0 with
     # pool_capacity_mib pages behind an unnamed link of ``link``.
     tiers: Optional[object] = None
 
@@ -119,20 +118,21 @@ class ServerlessPlatform:
         reset_invocation_ids()
         self.engine = Engine()
         self.streams = RandomStreams(seed=self.config.seed)
+        # Every default below comes from the run context, read once:
+        # an explicit config value wins over it, and with neither the
+        # platform takes its zero-cost path.
+        ctx = context.current()
         # Observability: an explicit tracer, the config switch, or the
-        # process-wide repro.obs switches all enable tracing; auditing
-        # subscribes the invariant checker to the same stream.
+        # context's obs fields all enable tracing; auditing subscribes
+        # the invariant checker to the same stream.
+        want_audit = self.config.audit_events or ctx.audit
         want_trace = (
-            tracer is not None
-            or self.config.trace_events
-            or self.config.audit_events
-            or obs_runtime.trace_enabled()
+            tracer is not None or self.config.trace_events or want_audit or ctx.trace
         )
-        want_audit = self.config.audit_events or obs_runtime.audit_enabled()
         if tracer is None and want_trace:
             tracer = Tracer(
                 clock=lambda: self.engine.now,
-                capacity=max(self.config.trace_capacity, obs_runtime.trace_capacity()),
+                capacity=max(self.config.trace_capacity, ctx.trace_capacity),
             )
         self.tracer = tracer
         self.auditor: Optional[InvariantAuditor] = None
@@ -150,11 +150,11 @@ class ServerlessPlatform:
             capacity_mib=self.config.node_capacity_mib,
             strict=self.config.strict_node_capacity,
         )
-        # Pool topology: an explicit config value wins over the
-        # process-wide default; with neither, the single-node pool.
+        # Pool topology: with neither a config value nor a context
+        # default, the single-node pool.
         tiers = self.config.tiers
         if tiers is None:
-            tiers = tier_runtime.default_tiers() or TierTopology.flat()
+            tiers = ctx.tiers or TierTopology.flat()
         self.pool = TieredPool(
             clock=lambda: self.engine.now,
             topology=tiers,
@@ -176,29 +176,23 @@ class ServerlessPlatform:
         from repro.faas.sharing import SharedRuntimeRegistry
 
         self.runtime_shares = SharedRuntimeRegistry(self)
-        # Fault injection: an explicit config value wins over the
-        # process-wide default (lazy imports keep repro.faas loadable
-        # without repro.faults and avoid an import cycle).
+        # Fault injection (lazy imports keep repro.faas loadable without
+        # repro.faults and avoid an import cycle).
         self.fault_injector = None
         faults = self.config.faults
         if faults is None:
-            from repro.faults import runtime as faults_runtime
-
-            faults = faults_runtime.default_faults()
+            faults = ctx.faults
         if faults is not None:
             from repro.faults import FaultInjector, FaultSchedule, FaultSpec
 
             if isinstance(faults, FaultSpec):
                 faults = FaultSchedule.from_spec(faults)
             self.fault_injector = FaultInjector(self, faults).attach()
-        # Memory pressure: same precedence as faults — explicit config
-        # value, then the process-wide default, then nothing.
+        # Memory pressure: same precedence as faults.
         self.governor = None
         pressure = self.config.pressure
         if pressure is None:
-            from repro.pressure import runtime as pressure_runtime
-
-            pressure = pressure_runtime.default_pressure()
+            pressure = ctx.pressure
         if pressure is not None:
             from repro.pressure.governor import MemoryPressureGovernor
 

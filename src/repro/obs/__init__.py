@@ -7,16 +7,16 @@
 * :class:`InvariantAuditor` — an online checker of conservation laws
   (page placement exclusivity, swap-flow conservation, barrier
   monotonicity, the container lifecycle DAG, link subscription);
-* :mod:`repro.obs.runtime` — process-wide switches (`enable`,
-  `disable`) that make every subsequently-built platform traced and
-  audited, turning whole experiment suites into standing correctness
-  tests.
+* :mod:`repro.obs.runtime` — the session registry every traced
+  platform joins, and `enable` / `disable`, setters of the run
+  context's (:mod:`repro.context`) obs fields that make every
+  subsequently-built platform traced and audited, turning whole
+  experiment suites into standing correctness tests.
 """
 
 from repro.obs.audit import InvariantAuditor, Violation
 from repro.obs.runtime import (
     ObsSession,
-    audit_enabled,
     audit_report,
     combined_digest,
     disable,
@@ -25,7 +25,6 @@ from repro.obs.runtime import (
     reset_sessions,
     sessions,
     total_violations,
-    trace_enabled,
 )
 from repro.obs.trace import EventKind, TraceEvent, Tracer
 
@@ -38,8 +37,6 @@ __all__ = [
     "ObsSession",
     "enable",
     "disable",
-    "trace_enabled",
-    "audit_enabled",
     "register_session",
     "reset_sessions",
     "sessions",

@@ -90,7 +90,7 @@ class _SwapLedger:
 
 @dataclass
 class _TierLedger:
-    """Cumulative page flow through one pool tier (repro.tier).
+    """Cumulative page flow through one pool tier (repro.pool.tier).
 
     The per-tier conservation law generalises the flat swap identity:
     pages placed into (or demoted into) a tier leave it only by
@@ -140,7 +140,7 @@ class InvariantAuditor:
         # direct reclaim.
         self._governor_tier = 0
         self._direct_reclaim_failed = False
-        # Pool-tier conservation (repro.tier): level -> ledger. Stays
+        # Pool-tier conservation (repro.pool.tier): level -> ledger. Stays
         # empty unless tier.* events appear (hierarchical runs only).
         self._tier_ledgers: Dict[int, _TierLedger] = {}
         self._finalized = False
@@ -324,7 +324,7 @@ class InvariantAuditor:
             f"remote_lost={self.swap.remote_lost}",
         )
 
-    # -- pool-tier conservation (repro.tier) ----------------------------
+    # -- pool-tier conservation (repro.pool.tier)-----------------------
 
     def _tier_ledger(self, event: TraceEvent, key: str = "tier") -> _TierLedger:
         return self._tier_ledgers.setdefault(int(event.data[key]), _TierLedger())
@@ -558,7 +558,7 @@ class InvariantAuditor:
             f"SwapStats.remote_lost_pages={stats.remote_lost_pages} disagrees "
             f"with pool-dropped pages {platform.pool.lost_pages}",
         )
-        # Per-tier conservation (repro.tier): the ledger balance of
+        # Per-tier conservation (repro.pool.tier): the ledger balance of
         # each tier must equal its shard pools' summed usage, and the
         # tier residents must sum to the flat remote-resident balance.
         if not platform.pool.degenerate:

@@ -1,13 +1,11 @@
-"""Process-wide observability switches and the session registry.
+"""Observability switches and the session registry.
 
-Experiment harnesses build :class:`~repro.faas.platform.ServerlessPlatform`
-objects internally, so per-call plumbing cannot reach them. Instead,
-``enable(trace=..., audit=...)`` flips process-wide switches that every
-subsequently-constructed platform consults: when tracing is on it
-builds a :class:`~repro.obs.trace.Tracer`, when auditing is on it
-attaches an :class:`~repro.obs.audit.InvariantAuditor`, and either way
-it registers an :class:`ObsSession` here so the CLI (``--audit``) and
-tests can collect digests and violations after the run.
+Whether new platforms are traced and audited is part of the run
+context (:mod:`repro.context`); :func:`enable` and :func:`disable` are
+thin setters of its ``trace``, ``audit`` and ``trace_capacity``
+fields. Every traced platform registers an :class:`ObsSession` here so
+the CLI (``--audit``) and tests can collect digests and violations
+after the run.
 
 The switches default to off; with them off the only cost in the
 simulator is a ``tracer is None`` check per hook.
@@ -16,9 +14,10 @@ simulator is a ``tracer is None`` check per hook.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
+from repro import context
 from repro.obs.audit import InvariantAuditor
 from repro.obs.trace import Tracer
 
@@ -32,33 +31,28 @@ class ObsSession:
     auditor: Optional[InvariantAuditor] = None
 
 
-_STATE = {"trace": False, "audit": False, "capacity": 1 << 16}
 _SESSIONS: List[ObsSession] = []
 
 
-def enable(trace: bool = True, audit: bool = True, capacity: int = 1 << 16) -> None:
+def enable(
+    trace: bool = True,
+    audit: bool = True,
+    capacity: int = context.DEFAULT_TRACE_CAPACITY,
+) -> None:
     """Turn on tracing (and optionally auditing) for new platforms."""
-    _STATE["trace"] = trace or audit  # auditing needs the event stream
-    _STATE["audit"] = audit
-    _STATE["capacity"] = capacity
+    context.install(
+        replace(
+            context.current(),
+            trace=trace or audit,  # auditing needs the event stream
+            audit=audit,
+            trace_capacity=capacity,
+        )
+    )
 
 
 def disable() -> None:
-    """Turn both switches off (new platforms go back to zero-cost)."""
-    _STATE["trace"] = False
-    _STATE["audit"] = False
-
-
-def trace_enabled() -> bool:
-    return bool(_STATE["trace"])
-
-
-def audit_enabled() -> bool:
-    return bool(_STATE["audit"])
-
-
-def trace_capacity() -> int:
-    return int(_STATE["capacity"])
+    """Turn both switches off and restore the default ring capacity."""
+    enable(trace=False, audit=False)
 
 
 def register_session(session: ObsSession) -> ObsSession:
@@ -134,8 +128,9 @@ def reset_sessions() -> None:
 def trim_sessions(count: int) -> None:
     """Drop sessions registered after the first ``count``.
 
-    Lets a caller (e.g. the bench harness) run audited platforms
-    without leaking their sessions into an enclosing registry scope.
+    Lets a caller (e.g. perfbench's audited replay) run audited
+    platforms without leaking their sessions into an enclosing
+    registry scope.
     """
     del _SESSIONS[count:]
 

@@ -69,7 +69,7 @@ class EventKind(str, enum.Enum):
     BREAKER_HALF_OPEN = "breaker.half_open"
     BREAKER_CLOSE = "breaker.close"
 
-    # Tiered pool hierarchy (repro.tier). Only emitted for genuinely
+    # Tiered pool hierarchy (repro.pool.tier). Only emitted for genuinely
     # hierarchical topologies: the degenerate one-tier/one-shard
     # configuration emits none of these, keeping its trace stream
     # byte-identical to the flat pool's.

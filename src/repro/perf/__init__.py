@@ -1,10 +1,8 @@
-"""Performance layer: parallel sweep execution and benchmarking.
+"""Performance layer: parallel sweep execution.
 
-* :mod:`repro.perf.sweep` — the :class:`SweepGrid` parallel executor
-  every large experiment enumerates its independent points onto.
-* :mod:`repro.perf.bench` — the ``repro bench`` wall-clock harness
-  that writes ``BENCH_perf.json`` (events/sec, per-experiment wall
-  clock, speedups vs the recorded baseline).
+:mod:`repro.perf.sweep` holds the :class:`SweepGrid` parallel executor
+every large experiment enumerates its independent points onto. The
+repo's benchmark is ``perfbench/run.py`` (see ``perfbench/README.md``).
 """
 
 from repro.perf.sweep import (

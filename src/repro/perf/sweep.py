@@ -16,9 +16,8 @@ keyed by its grid coordinates) executed either serially in-process
 differential test can assert that serial and parallel execution
 produce byte-identical per-point streams and identical merged rows.
 
-Process-wide runtime switches (``repro.obs`` tracing/auditing, the
-``repro.faults`` / ``repro.pressure`` / ``repro.tier`` defaults the
-CLI installs) are snapshotted in the parent and re-installed in every
+The parent's run context (:mod:`repro.context`: tracing, auditing,
+the fault, pressure and pool-topology defaults) is installed in every
 worker, and each worker's observability sessions are shipped back and
 adopted into the parent registry in grid order — so ``repro run fig12
 --audit --jobs 4`` reports the same digests and violations as a
@@ -35,6 +34,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import context
 from repro.errors import SweepError
 
 #: Environment variable consulted when no explicit job count is given.
@@ -117,49 +117,12 @@ class _PointFailure:
     traceback: str
 
 
-def _capture_runtime_state() -> Dict[str, Any]:
-    """Snapshot the process-wide switches a worker must inherit."""
-    from repro.faults import runtime as faults_runtime
+def _worker_init(run_context: context.RunContext) -> None:
+    """Give a fresh worker the parent's run context and no sessions."""
     from repro.obs import runtime as obs_runtime
-    from repro.pressure import runtime as pressure_runtime
-    from repro.tier import runtime as tier_runtime
-
-    return {
-        "trace": obs_runtime.trace_enabled(),
-        "audit": obs_runtime.audit_enabled(),
-        "capacity": obs_runtime.trace_capacity(),
-        "faults": faults_runtime.default_faults(),
-        "pressure": pressure_runtime.default_pressure(),
-        "tiers": tier_runtime.default_tiers(),
-    }
-
-
-def _worker_init(state: Dict[str, Any]) -> None:
-    """Install the parent's runtime switches in a fresh worker."""
-    from repro.faults import runtime as faults_runtime
-    from repro.obs import runtime as obs_runtime
-    from repro.pressure import runtime as pressure_runtime
-    from repro.tier import runtime as tier_runtime
 
     obs_runtime.reset_sessions()
-    if state["trace"] or state["audit"]:
-        obs_runtime.enable(
-            trace=state["trace"], audit=state["audit"], capacity=state["capacity"]
-        )
-    else:
-        obs_runtime.disable()
-    if state["faults"] is not None:
-        faults_runtime.install(state["faults"])
-    else:
-        faults_runtime.clear()
-    if state["pressure"] is not None:
-        pressure_runtime.install(state["pressure"])
-    else:
-        pressure_runtime.clear()
-    if state["tiers"] is not None:
-        tier_runtime.install(state["tiers"])
-    else:
-        tier_runtime.clear()
+    context.install(run_context)
 
 
 def _snapshot_sessions(sessions: List[Any]) -> List[SessionSnapshot]:
@@ -265,11 +228,12 @@ class SweepGrid:
     def _run_parallel(self, jobs: int) -> List[PointResult]:
         from repro.obs import runtime as obs_runtime
 
-        state = _capture_runtime_state()
         workers = min(jobs, len(self.points))
         results: List[PointResult] = []
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(state,)
+            max_workers=workers,
+            initializer=_worker_init,
+            initargs=(context.current(),),
         ) as pool:
             futures = [pool.submit(_worker_execute, point) for point in self.points]
             for point, future in zip(self.points, futures):

@@ -3,8 +3,8 @@ admission control).
 
 Off by default: a platform only constructs a
 :class:`MemoryPressureGovernor` when its config carries a
-:class:`PressureConfig` (or one is installed process-wide via
-:mod:`repro.pressure.runtime`). With none installed the platform holds
+:class:`PressureConfig` (or the run context, :mod:`repro.context`,
+carries one). With neither the platform holds
 ``governor is None`` and the whole subsystem costs one ``is not None``
 check per hook.
 """

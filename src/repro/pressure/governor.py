@@ -31,8 +31,8 @@ The governor is **reactive**: it schedules no engine events until a
 watermark is crossed, and with all watermark fractions at zero it is
 provably inert (byte-identical trace digests; see the differential
 test). Construct it only through
-``PlatformConfig(pressure=PressureConfig(...))`` or the process-wide
-default in :mod:`repro.pressure.runtime`.
+``PlatformConfig(pressure=PressureConfig(...))`` or the run context's
+``pressure`` field (:mod:`repro.context`).
 """
 
 from __future__ import annotations

@@ -40,15 +40,6 @@ class TestParser:
         assert args.jobs == 4
         assert build_parser().parse_args(["run", "fig12"]).jobs is None
 
-    def test_bench_command_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--jobs", "2", "--out", "b.json", "--profile"]
-        )
-        assert args.command == "bench"
-        assert args.quick and args.jobs == 2 and args.out == "b.json"
-        assert args.profile == 15  # bare --profile defaults to top 15
-        assert build_parser().parse_args(["bench"]).profile == 0
-
 
 class TestMain:
     def test_list_prints_experiments(self, capsys):
@@ -77,6 +68,17 @@ class TestMain:
         assert main(["run", "fig04", "--audit"]) == 0
         out = capsys.readouterr().out
         assert "0 violation(s)" in out
+
+    def test_audit_and_faults_context_ends_with_the_run(self, capsys):
+        from repro.context import RunContext, current
+        from repro.obs import runtime as obs
+
+        argv = ["run", "fig04", "--audit", "--faults", "seed=43,intensity=2"]
+        assert main(argv) == 0
+        assert "0 violation(s)" in capsys.readouterr().out
+        assert obs.sessions(), "--audit reached no platform"
+        assert current() == RunContext()
+        obs.reset_sessions()
 
     def test_trace_exports_events(self, tmp_path, capsys):
         json_path = tmp_path / "events.json"

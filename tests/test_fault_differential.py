@@ -11,22 +11,19 @@ from __future__ import annotations
 
 from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.baselines import NoOffloadPolicy
+from repro.context import using
 from repro.faults import FaultSpec
-from repro.faults import runtime as faults_runtime
 from repro.obs import runtime as obs
 
 
 def _digest(runner, with_empty_faults: bool) -> str:
     obs.reset_sessions()
-    obs.enable(trace=True, audit=False)
-    if with_empty_faults:
-        faults_runtime.install(FaultSpec(intensity=0.0))
+    faults = FaultSpec(intensity=0.0) if with_empty_faults else None
     try:
-        runner()
+        with using(trace=True, faults=faults):
+            runner()
         return obs.combined_digest()
     finally:
-        faults_runtime.clear()
-        obs.disable()
         obs.reset_sessions()
 
 
@@ -51,25 +48,17 @@ class TestZeroFaultDifferential:
 
     def test_differential_is_not_vacuous(self):
         """The faulted branch really does attach injectors."""
-        faults_runtime.install(FaultSpec(intensity=0.0))
-        try:
+        with using(faults=FaultSpec(intensity=0.0)):
             platform = ServerlessPlatform(NoOffloadPolicy(), config=PlatformConfig())
-            assert platform.fault_injector is not None
-            assert platform.fault_injector.schedule.empty
-        finally:
-            faults_runtime.clear()
+        assert platform.fault_injector is not None
+        assert platform.fault_injector.schedule.empty
 
     def test_nonempty_schedule_does_change_the_stream(self):
         """Sanity check on the instrument: a real schedule diverges."""
 
         def faulted():
-            faults_runtime.install(
-                FaultSpec(seed=43, intensity=2.0, horizon_s=300.0,
-                          link_outage_rate_per_h=24.0)
-            )
-            try:
+            with using(faults=FaultSpec(seed=43, intensity=2.0, horizon_s=300.0,
+                                        link_outage_rate_per_h=24.0)):
                 _run_fig12()
-            finally:
-                faults_runtime.clear()
 
         assert _digest(_run_fig12, False) != _digest(faulted, False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.context import using
 from repro.core import FaaSMemPolicy
 from repro.experiments.common import make_reuse_priors
 from repro.faas import PlatformConfig, ServerlessPlatform
@@ -21,7 +22,6 @@ from repro.faults import (
     FaultWindow,
     PointFault,
 )
-from repro.faults import runtime as faults_runtime
 from repro.traces.azure import sample_function_trace
 from repro.workloads import get_profile
 
@@ -174,12 +174,9 @@ class TestEmptyScheduleNoOp:
         assert platform.fault_injector is None
 
     def test_runtime_default_reaches_internal_platforms(self):
-        faults_runtime.install(FaultSpec(intensity=0.0))
-        try:
+        with using(faults=FaultSpec(intensity=0.0)):
             platform, _ = _platform(None)
-            assert platform.fault_injector is not None
-            assert platform.fault_injector.schedule.empty
-        finally:
-            faults_runtime.clear()
+        assert platform.fault_injector is not None
+        assert platform.fault_injector.schedule.empty
         platform, _ = _platform(None)
         assert platform.fault_injector is None

@@ -1,10 +1,44 @@
 """Unit tests for the structured event tracer (repro.obs.trace)."""
 
 import json
+from typing import Any, Optional
 
 import pytest
 
-from repro.obs.trace import EventKind, Tracer
+from repro.obs.trace import EventKind, TraceEvent, Tracer
+
+
+class LegacyEmitTracer(Tracer):
+    """Reference for ``Tracer.emit``: the pre-optimization emit path.
+
+    Serializes and hashes every event eagerly, one SHA-256 update per
+    event, and always walks the subscriber loop. The optimized emit
+    (lazy encoding, batched hashing, subscriber loop skipped when
+    empty) must produce the same digest, ring and subscriber calls.
+    """
+
+    def emit(self, kind: EventKind, subject: str = "", **data: Any) -> Optional[TraceEvent]:
+        if not self.enabled:
+            return None
+        event = TraceEvent(
+            next(self._seq),
+            self._clock(),
+            kind.value if isinstance(kind, EventKind) else str(kind),
+            subject,
+            data,
+        )
+        self.events.append(event)
+        self.emitted += 1
+        if self._hash is not None:
+            payload = json.dumps(
+                event.data, sort_keys=True, separators=(",", ":"), default=str
+            )
+            line = f"{event.seq}|{event.time!r}|{event.kind}|{event.subject}|{payload}"
+            self._hash.update(line.encode("utf-8"))
+            self._hash.update(b"\n")
+        for subscriber in self._subscribers:
+            subscriber(event)
+        return event
 
 
 def make_tracer(**kwargs):
@@ -131,6 +165,47 @@ class TestEmitHotPath:
         a.emit(EventKind.RECALL, "cg", pages=1)
         b.emit("region.recall", "cg", pages=1)
         assert a.digest() == b.digest()
+
+
+class TestLegacyEmitReference:
+    """``Tracer.emit`` against :class:`LegacyEmitTracer`."""
+
+    def test_legacy_tracer_is_a_faithful_reference(self):
+        # Same stream through both paths, including subscribers.
+        seen = {"opt": [], "leg": []}
+        opt = Tracer(clock=lambda: 1.0)
+        leg = LegacyEmitTracer(clock=lambda: 1.0)
+        opt.subscribe(seen["opt"].append)
+        leg.subscribe(seen["leg"].append)
+        for tracer in (opt, leg):
+            tracer.emit(EventKind.RECALL, "cg", pages=4)
+            tracer.emit(EventKind.ENGINE_EVENT, "exec")
+        assert opt.digest() == leg.digest()
+        assert [e.line() for e in seen["opt"]] == [e.line() for e in seen["leg"]]
+
+    def test_tracer_digest_matches_legacy_emit_path(self):
+        """The simulator's mix, 3 empty payloads to 1.
+
+        4,000 events (~200 KB of lines) also cross the 64 KiB batched
+        hash flush; 1,000 stay inside one batch.
+        """
+        for n in (1_000, 4_000):
+            clock = {"now": 0.0}
+            optimized = Tracer(clock=lambda: clock["now"], capacity=4096)
+            legacy = LegacyEmitTracer(clock=lambda: clock["now"], capacity=4096)
+            for tracer in (optimized, legacy):
+                clock["now"] = 0.0
+                for i in range(n):
+                    clock["now"] += 0.001
+                    if i % 4:
+                        tracer.emit(EventKind.ENGINE_EVENT, "exec")
+                    else:
+                        tracer.emit(EventKind.RECALL, "cg-0", region=i, pages=8)
+            assert optimized.emitted == legacy.emitted == n
+            assert optimized.digest() == legacy.digest()
+            assert [e.line() for e in optimized.snapshot()] == [
+                e.line() for e in legacy.snapshot()
+            ]
 
 
 class TestExport:

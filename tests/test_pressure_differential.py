@@ -11,25 +11,22 @@ NORMAL, and no random numbers are drawn.
 from __future__ import annotations
 
 from repro.baselines import NoOffloadPolicy
+from repro.context import using
 from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.obs import runtime as obs
 from repro.pressure import DegradationTier, PressureConfig
-from repro.pressure import runtime as pressure_runtime
 
 _INERT = dict(min_watermark_frac=0.0, low_watermark_frac=0.0, high_watermark_frac=0.0)
 
 
 def _digest(runner, with_inert_governor: bool) -> str:
     obs.reset_sessions()
-    obs.enable(trace=True, audit=False)
-    if with_inert_governor:
-        pressure_runtime.install(PressureConfig(**_INERT))
+    pressure = PressureConfig(**_INERT) if with_inert_governor else None
     try:
-        runner()
+        with using(trace=True, pressure=pressure):
+            runner()
         return obs.combined_digest()
     finally:
-        pressure_runtime.clear()
-        obs.disable()
         obs.reset_sessions()
 
 
@@ -54,15 +51,12 @@ class TestInertGovernorDifferential:
 
     def test_differential_is_not_vacuous(self):
         """The governed branch really does attach a governor."""
-        pressure_runtime.install(PressureConfig(**_INERT))
-        try:
+        with using(pressure=PressureConfig(**_INERT)):
             platform = ServerlessPlatform(NoOffloadPolicy(), config=PlatformConfig())
-            assert platform.governor is not None
-            assert not platform.governor.enforcing
-            assert platform.governor.tier is DegradationTier.NORMAL
-            assert platform.node.watermarks is not None
-        finally:
-            pressure_runtime.clear()
+        assert platform.governor is not None
+        assert not platform.governor.enforcing
+        assert platform.governor.tier is DegradationTier.NORMAL
+        assert platform.node.watermarks is not None
 
     def test_enforcing_governor_does_change_the_stream(self):
         """Sanity check on the instrument: real watermarks diverge.
@@ -75,18 +69,14 @@ class TestInertGovernorDifferential:
 
         def run_tight(governed: bool):
             def runner():
-                if governed:
-                    pressure_runtime.install(PressureConfig())
-                try:
+                with using(pressure=PressureConfig() if governed else None):
                     platform = ServerlessPlatform(
                         NoOffloadPolicy(),
                         config=PlatformConfig(seed=7, node_capacity_mib=600.0),
                     )
-                    platform.register_function("web", get_profile("web"))
-                    platform.register_function("web-b", get_profile("web"))
-                    platform.run_trace([(0.0, "web"), (40.0, "web-b")])
-                finally:
-                    pressure_runtime.clear()
+                platform.register_function("web", get_profile("web"))
+                platform.register_function("web-b", get_profile("web"))
+                platform.run_trace([(0.0, "web"), (40.0, "web-b")])
 
             return runner
 

@@ -1,4 +1,4 @@
-"""Unit tests for the hierarchical, sharded pool (``repro.tier``)."""
+"""Unit tests for the hierarchical, sharded pool (``repro.pool.tier``)."""
 
 from __future__ import annotations
 

@@ -14,17 +14,18 @@ multi-shard compositions pin runs no ``digest-parity`` entry covers.
 from __future__ import annotations
 
 from repro.baselines import NoOffloadPolicy
+from repro.context import using
 from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.faults import POOL_CRASH, FaultSchedule, FaultSpec, PointFault
-from repro.faults import runtime as faults_runtime
 from repro.obs import runtime as obs
 from repro.pool.tier import TieredPool, TierSpec, TierTopology
-from repro.tier import runtime as tier_runtime
 
 from tests.test_tier_composition import _PinnedRng, _platform, _run, _topology
 
-# fig12 web/high/300 s on the flat pool (same bytes as bench's sentinel).
+# fig12 web/high/300 s on the flat pool (perfbench's pinned sentinel).
 FLAT_FIG12_DIGEST = "ea7e6dfbf0a8aa97504ac75bf02f4b43844cc38f4ef27aef2a8ae172ca5b54a7"
+# Events the audited FLAT_FIG12_DIGEST run emits over its sessions.
+FLAT_FIG12_EVENTS = 2_714
 # fig11 with a one-hour reuse history on the flat pool.
 FLAT_FIG11_DIGEST = "4f1a91f207a209520e0fd2d3e9936f6c61756ad65ee13629e4bd1a7ab983b951"
 # Audited `tiering` quick run under FaultSpec.parse("seed=11,intensity=1").
@@ -39,13 +40,12 @@ NEAR_CRASHED_DIGEST = (
 
 def _digest(runner, audit: bool = False) -> str:
     obs.reset_sessions()
-    obs.enable(trace=True, audit=audit)
     try:
-        runner()
+        with using(trace=True, audit=audit):
+            runner()
         assert obs.total_violations() == 0, obs.audit_report()
         return obs.combined_digest()
     finally:
-        obs.disable()
         obs.reset_sessions()
 
 
@@ -63,7 +63,18 @@ def _run_semiwarm():
 
 class TestDegenerateHierarchyDifferential:
     def test_fig12_digest_identical(self):
-        assert _digest(_run_fig12) == FLAT_FIG12_DIGEST
+        """The audited sentinel: pinned digest, event count, 0 violations."""
+        obs.reset_sessions()
+        try:
+            with using(trace=True, audit=True):
+                _run_fig12()
+            sessions = obs.sessions()
+            assert all(s.auditor is not None for s in sessions)
+            assert obs.combined_digest() == FLAT_FIG12_DIGEST
+            assert sum(s.tracer.emitted for s in sessions) == FLAT_FIG12_EVENTS
+            assert obs.total_violations() == 0, obs.audit_report()
+        finally:
+            obs.reset_sessions()
 
     def test_semiwarm_digest_identical(self):
         assert _digest(_run_semiwarm) == FLAT_FIG11_DIGEST
@@ -90,11 +101,8 @@ class TestDegenerateHierarchyDifferential:
         """
 
         def runner():
-            tier_runtime.install(TierTopology.cxl_rdma(total_capacity_mib=64 * 1024))
-            try:
+            with using(tiers=TierTopology.cxl_rdma(total_capacity_mib=64 * 1024)):
                 _run_fig12()
-            finally:
-                tier_runtime.clear()
 
         assert _digest(runner) != FLAT_FIG12_DIGEST
 
@@ -110,11 +118,8 @@ class TestMultiShardReferenceDigests:
         from repro.experiments import run_experiment
 
         def runner():
-            faults_runtime.install(FaultSpec.parse("seed=11,intensity=1"))
-            try:
+            with using(faults=FaultSpec.parse("seed=11,intensity=1")):
                 run_experiment("tiering", duration=300.0, near_shares=(0.25,))
-            finally:
-                faults_runtime.clear()
 
         assert _digest(runner, audit=True) == TIERING_FAULTS_DIGEST
 
