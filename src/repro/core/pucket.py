@@ -219,7 +219,7 @@ class ContainerMemoryState:
         that were remote before the request, which tells a true remote
         recall from an aborted in-flight offload. An already-hot region
         stays put: the hot pool shares no region with any Pucket's
-        inactive or offloaded set. Untracked regions (exec scratch,
+        inactive or offloaded set. Untracked regions (exec regions,
         unsealed split-off slices) are skipped.
         """
         hot = self.hot_pool._entries

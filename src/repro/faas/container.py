@@ -3,9 +3,10 @@
 A container walks through the stages of Fig. 3: **launch** (runtime
 segment allocated), **init** (init segment allocated, transient init
 scratch freed at the end), then alternating **execution** and
-**keep-alive**. Exec-segment scratch lives only while a request runs.
-Requests that touch offloaded regions stall on the swap datapath and
-the stall is charged to their service time.
+**keep-alive**. Exec-segment scratch lives only while a request runs:
+no policy tracks or moves it, so it is a page charge on the cgroup
+rather than a region. Requests that touch offloaded regions stall on
+the swap datapath and the stall is charged to their service time.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class Container:
         self.runtime_cold: List[PageRegion] = []
         self._shared_runtime = None
         self.init_state: Optional[InitState] = None
-        self._exec_region: Optional[PageRegion] = None
+        self._exec_pages = 0  # exec scratch charged for the running request
         self._keep_alive = Timer(
             self.engine, self._on_keep_alive_expired, name=f"ka:{container_id}"
         )
@@ -214,9 +215,9 @@ class Container:
                     owner, victims, cpu_share=self.profile.cpu_share
                 )
         self._touch(touched, remote_ids)
-        self._exec_region = self.cgroup.allocate(
-            "exec/scratch", Segment.EXEC, pages_from_mib(self.profile.exec_mib)
-        )
+        exec_pages = pages_from_mib(self.profile.exec_mib)
+        self.cgroup.charge(Segment.EXEC, exec_pages)
+        self._exec_pages = exec_pages
         # Memory-pressure stalls: direct-reclaim waits charged to this
         # container by the governor plus any memory.high throttle.
         governor = self.platform.governor
@@ -313,9 +314,9 @@ class Container:
         recalled_pages: int,
         reclaim_stall: float = 0.0,
     ) -> None:
-        if self._exec_region is not None:
-            self.cgroup.free(self._exec_region)
-            self._exec_region = None
+        if self._exec_pages:
+            self.cgroup.uncharge(Segment.EXEC, self._exec_pages)
+            self._exec_pages = 0
         self._inflight = None
         self._exec_event = None
         self.requests_served += 1
@@ -445,8 +446,12 @@ class Container:
         self.platform.policy.on_container_reclaimed(self)
         self._transition(ContainerState.RECLAIMED, crash=True, reason=reason)
         self.reclaimed_at = self.engine.now
-        self._exec_region = None  # freed with everything else below
         self.cgroup.free_all()
+        if self._exec_pages:
+            # A mid-request crash: the scratch is a charge, not a
+            # region, so free_all left it.
+            self.cgroup.uncharge(Segment.EXEC, self._exec_pages)
+            self._exec_pages = 0
         if self._shared_runtime is not None:
             self.platform.runtime_shares.release(self.function.name)
             self._shared_runtime = None

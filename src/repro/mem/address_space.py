@@ -18,13 +18,13 @@ from typing import (
 )
 
 from repro.errors import MemoryError_
-from repro.mem.page import Location, PageRegion, Segment
+from repro.mem.page import Location, PageRegion, Segment, skip_region_id
 
 RegionCallback = Callable[[PageRegion], None]
 
 _LOCAL = Location.LOCAL
 # The segments whose local regions the age index orders (TMO's
-# candidates); exec scratch is freed with its request.
+# candidates); exec scratch dies with its request and is only charged.
 _AGED = frozenset((Segment.RUNTIME, Segment.INIT))
 # The age heap is dropped, to be rebuilt from the local buckets on the
 # next read, once it holds more than twice its candidates plus this.
@@ -52,10 +52,12 @@ class AddressSpace:
     keeps its indexes exact without rescanning: regions by id, by
     ``(name, segment)`` family and by (segment, location) bucket, each
     an insertion-ordered dict, plus page counters per (segment,
-    location) and per location. Regions are inserted as they are
-    created, so insertion order is ascending ``region_id`` order; only
-    :meth:`relocate` appends an older id to a bucket, which marks the
-    bucket for a re-sort on its next read.
+    location) and per location. Memory that dies with its request is
+    charged to the page counters (:meth:`charge`) and has no region.
+    Regions are inserted as they are created, so insertion order is
+    ascending ``region_id`` order; only :meth:`relocate` appends an
+    older id to a bucket, which marks the bucket for a re-sort on its
+    next read.
 
     :meth:`coldest_local` reads an age index: a min-heap of ``(age,
     region_id)`` entries over the local RUNTIME and INIT regions, where
@@ -133,6 +135,30 @@ class AddressSpace:
             callback(region)
         return region
 
+    def charge(self, segment: Segment, pages: int) -> None:
+        """Count ``pages`` local pages in ``segment`` without a region.
+
+        For memory that lives and dies with one request (exec scratch):
+        no policy tracks, touches or moves it, so only the page
+        counters see it. Draws one region id, as :meth:`allocate` would.
+        """
+        if pages <= 0:
+            raise MemoryError_(f"charge must be at least one page, got {pages}")
+        skip_region_id()
+        self._pages[segment][_LOCAL] += pages
+        self._location_pages[_LOCAL] += pages
+
+    def uncharge(self, segment: Segment, pages: int) -> None:
+        """Release ``pages`` local pages of a :meth:`charge` in ``segment``."""
+        counts = self._pages[segment]
+        if not 0 < pages <= counts[_LOCAL]:
+            raise MemoryError_(
+                f"uncharge of {pages} pages from {counts[_LOCAL]} local "
+                f"{segment.value} pages"
+            )
+        counts[_LOCAL] -= pages
+        self._location_pages[_LOCAL] -= pages
+
     def split(self, region: PageRegion, pages: int) -> PageRegion:
         """Carve ``pages`` pages off ``region`` into a new live region.
 
@@ -176,7 +202,7 @@ class AddressSpace:
                 self._bound_age_heap()
 
     def free(self, region: PageRegion) -> None:
-        """Release a region (e.g. exec scratch at request completion)."""
+        """Release a region (e.g. init scratch when init finishes)."""
         region_id = region.region_id
         if region_id not in self._regions:
             raise MemoryError_(f"free of unknown region {region.name!r}")

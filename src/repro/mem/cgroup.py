@@ -1,8 +1,9 @@
 """Per-container cgroup: address space + MGLRU + node accounting.
 
 The cgroup is the glue the kernel provides for free: it keeps the
-node-level resident counter in sync with allocations, frees, offloads
-and fetches, and feeds accesses into the MGLRU generation lists.
+node-level resident counter in sync with allocations, frees, page
+charges, offloads and fetches, and feeds accesses into the MGLRU
+generation lists.
 """
 
 from __future__ import annotations
@@ -48,6 +49,21 @@ class Cgroup:
     def allocate(self, name: str, segment: Segment, pages: int) -> PageRegion:
         """Allocate a local region and account it on the node."""
         return self.space.allocate(name, segment, pages, now=self._clock())
+
+    def charge(self, segment: Segment, pages: int) -> None:
+        """Account ``pages`` request-lived local pages (exec scratch).
+
+        The node sees them as it would an allocation, direct reclaim and
+        low-watermark wake-up included, but no region, MGLRU entry or
+        family entry is created.
+        """
+        self.space.charge(segment, pages)
+        self.node.add_local(pages, owner=self.name)
+
+    def uncharge(self, segment: Segment, pages: int) -> None:
+        """Release pages accounted by :meth:`charge`."""
+        self.space.uncharge(segment, pages)
+        self.node.sub_local(pages)
 
     def touch(self, region: PageRegion) -> None:
         """Record one access (see :meth:`touch_many`)."""

@@ -116,7 +116,7 @@ class MultiGenLru:
         """Promote one accessed region (see :meth:`note_access_many`).
 
         Returns the generation the region came from, or None when the
-        region is not tracked (e.g. exec-segment scratch).
+        region is not tracked (e.g. a slice split off a tracked region).
         """
         origin = self._member.get(region.region_id)
         self.note_access_many((region,))
@@ -125,7 +125,8 @@ class MultiGenLru:
     def note_access_many(self, regions: Iterable[PageRegion]) -> None:
         """Promote each accessed region to the youngest generation, in order.
 
-        Untracked regions (e.g. exec-segment scratch) are skipped.
+        Untracked regions (e.g. slices split off a tracked region) are
+        skipped.
         """
         youngest = self._generations[-1]
         young = youngest._regions

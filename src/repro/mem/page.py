@@ -33,6 +33,18 @@ def reset_region_ids() -> None:
     _REGION_IDS = itertools.count(1)
 
 
+def skip_region_id() -> None:
+    """Consume one region id without creating a region.
+
+    A page charge (:meth:`AddressSpace.charge`) draws one id, as a
+    region allocation at the same point would. Pool shards stripe
+    pages by ``region_id``, so every later region's id, and with it its
+    shard, must not depend on whether exec memory is a region or a
+    charge.
+    """
+    next(_REGION_IDS)
+
+
 class Segment(enum.Enum):
     """The paper's three-segment serverless memory layout (§3)."""
 

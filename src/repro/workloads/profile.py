@@ -9,7 +9,7 @@ about (§3 of the paper):
   (:class:`UniformInit`), object cache with Pareto popularity
   (:class:`ParetoInit`, the Web benchmark), or fully re-scanned per
   request (:class:`FullScanInit`, the Graph benchmark);
-* **exec segment** — scratch allocated per request and freed at
+* **exec segment** — scratch charged per request and released at
   completion.
 """
 

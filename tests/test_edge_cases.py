@@ -5,8 +5,10 @@ import pytest
 from repro.baselines import NoOffloadPolicy
 from repro.core import FaaSMemConfig, FaaSMemPolicy
 from repro.faas import PlatformConfig, ServerlessPlatform
-from repro.mem.page import Segment
+from repro.faas.container import ContainerState
+from repro.mem.page import Location, Segment
 from repro.sim.engine import Engine
+from repro.units import pages_from_mib
 from repro.workloads import get_profile
 
 
@@ -112,7 +114,8 @@ class TestExecSegment:
     @pytest.mark.parametrize("system", ["tmo", "damon", "faasmem"])
     def test_exec_regions_never_offloaded(self, system):
         """§3.3: offloading exec-segment memory is pointless; no policy
-        ever targets it."""
+        ever targets it. Every request's scratch stays local while it
+        runs and is gone once the container idles."""
         from repro.baselines import DamonPolicy, TmoPolicy
 
         policies = {
@@ -123,13 +126,24 @@ class TestExecSegment:
         platform = ServerlessPlatform(
             policies[system](), config=PlatformConfig(seed=3)
         )
-        platform.register_function("image", get_profile("image"))
+        profile = get_profile("image")
+        platform.register_function("image", profile)
+        scratch = pages_from_mib(profile.exec_mib)
         for index in range(5):
-            platform.submit("image", index * 10.0)
+            arrival = index * 10.0
+            platform.submit("image", arrival)
+            startup = profile.cold_start_s if index == 0 else 0.0
+            platform.engine.run(until=arrival + startup + 1e-3)
+            [container] = platform.controller.all_containers()
+            space = container.cgroup.space
+            assert container.state is ContainerState.BUSY
+            assert space.pages(Segment.EXEC, Location.LOCAL) == scratch
+            assert space.pages(Segment.EXEC, Location.REMOTE) == 0
+            platform.engine.run(until=arrival + 9.99)
+            assert container.state is ContainerState.IDLE
+            assert space.pages(Segment.EXEC) == 0
         platform.engine.run(until=120.0)
-        container = platform.controller.all_containers()[0]
-        exec_regions = list(container.cgroup.space.regions(Segment.EXEC))
-        assert all(region.is_local for region in exec_regions)
+        assert space.pages(Segment.EXEC) == 0
 
 
 class TestEngineEdges:

@@ -6,6 +6,7 @@ from repro.errors import LifecycleError
 from repro.faas.container import ContainerState
 from repro.faas.request import Invocation
 from repro.mem.page import Segment
+from repro.units import pages_from_mib
 from repro.workloads import get_profile
 
 from tests.conftest import make_platform
@@ -152,6 +153,49 @@ class TestKeepAlive:
         # All containers already reclaimed; calling again must not blow up.
         for history in platform.container_history:
             assert history.reclaimed_at is not None
+
+
+class TestCrashReleasesExecScratch:
+    """Exec scratch is a page charge, not a region, so ``free_all`` does
+    not release it: ``crash`` must uncharge it exactly once."""
+
+    def _busy(self, platform, fn="web"):
+        profile = get_profile(fn)
+        platform.submit(fn, 0.0)
+        platform.engine.run(until=profile.cold_start_s + 0.01)
+        [container] = platform.controller.all_containers()
+        assert container.state is ContainerState.BUSY
+        return container
+
+    def test_mid_request_crash_releases_all_pages(self, platform):
+        before = platform.node.local_pages
+        container = self._busy(platform)
+        space = container.cgroup.space
+        assert space.pages(Segment.EXEC) == pages_from_mib(get_profile("web").exec_mib)
+        orphans = container.crash()
+        assert len(orphans) == 1
+        assert platform.node.local_pages == before
+        assert space.pages(Segment.EXEC) == 0
+        assert container.cgroup.local_pages == 0
+
+    def test_crash_after_completion_does_not_uncharge_again(self, platform):
+        before = platform.node.local_pages
+        container = run_one(platform)
+        assert container.state is ContainerState.IDLE
+        assert container.cgroup.space.pages(Segment.EXEC) == 0
+        assert container.crash() == []
+        assert platform.node.local_pages == before
+        assert container.cgroup.local_pages == 0
+
+    def test_crash_on_second_request_releases_its_charge(self, platform):
+        before = platform.node.local_pages
+        container = run_one(platform)
+        platform.submit("web", platform.engine.now)
+        platform.engine.run(until=platform.engine.now + 1e-3)
+        assert container.state is ContainerState.BUSY
+        container.crash()
+        assert platform.node.local_pages == before
+        assert container.cgroup.space.pages(Segment.EXEC) == 0
 
 
 class TestHeartbeat:

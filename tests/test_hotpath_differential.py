@@ -31,6 +31,13 @@
   MGLRU order, the age index and its victims, Pucket and hot-pool
   placements, recall counts and PROMOTE events after every step; and a
   rejected batch changes nothing.
+* Exec scratch charged to the cgroup (``Cgroup.charge``/``uncharge``)
+  vs the ``exec/scratch`` region allocated and freed per request that
+  it replaced (kept here as ``RegionScratchCgroup``): node usage
+  samples, peak and average, every cgroup's local and EXEC pages, the
+  next region id, request records, direct reclaims and the trace
+  digest after every step of random request, crash and heartbeat
+  sequences, on roomy and governed nodes.
 * ``replay_keepalive``'s idle and busy deques vs scanning every live
   span per arrival: every ``ContainerSpan`` field in the same order,
   cold starts and request counts, over random arrivals with duplicate
@@ -65,7 +72,7 @@ from repro.faas.container import ContainerState
 from repro.faas.controller import Controller
 from repro.faas.policy import OffloadPolicy
 from repro.faas.request import Invocation
-from repro.mem import address_space
+from repro.mem import address_space, page
 from repro.mem.address_space import _AGE_HEAP_SLACK
 from repro.mem.cgroup import Cgroup
 from repro.mem.node import ComputeNode
@@ -74,6 +81,7 @@ from repro.obs.trace import EventKind
 from repro.pool.fastswap import Fastswap
 from repro.pool.link import Link, LinkConfig, LinkDirection
 from repro.pool.tier import TieredPool, TierSpec, TierTopology
+from repro.pressure import PressureConfig
 from repro.sim.engine import Engine
 from repro.sim.randomness import RandomStreams
 from repro.traces import azure, patterns
@@ -1231,6 +1239,162 @@ class TestTouchBatchIsAllOrNothing:
         with pytest.raises(MemoryError_):
             cgroup.touch_many(batch)
         assert state() == before
+
+
+# ----------------------------------------------------------------------
+# Exec scratch: a page charge vs the region it replaced
+# ----------------------------------------------------------------------
+
+
+class RegionScratchCgroup(Cgroup):
+    """``Cgroup`` with exec scratch as it was before page charges: a
+    region allocated where ``charge`` is called and freed where
+    ``uncharge`` is, unless ``free_all`` (a crash) already freed it."""
+
+    _scratch = None
+
+    def charge(self, segment, pages):
+        self._scratch = self.allocate("exec/scratch", segment, pages)
+
+    def uncharge(self, segment, pages):
+        scratch, self._scratch = self._scratch, None
+        if scratch is not None and not scratch.freed:
+            self.free(scratch)
+
+
+def next_region_id():
+    """The id the next region will get, read without drawing it."""
+    return int(repr(page._REGION_IDS)[len("count("):-1])
+
+
+def scratch_platform(policy_name, capacity_mib):
+    """A node replaying web, json and bert under one policy.
+
+    ``capacity_mib`` None is a roomy, ungoverned node; otherwise the
+    node is that small and governed by the default pressure config.
+    """
+    policy = {"none": NoOffloadPolicy, "tmo": TmoPolicy, "faasmem": FaaSMemPolicy}[policy_name]
+    config = PlatformConfig(seed=11, heartbeat_s=5.0, keep_alive_s=120.0, trace_events=True)
+    if capacity_mib is not None:
+        config = replace(config, node_capacity_mib=capacity_mib, pressure=PressureConfig())
+    platform = ServerlessPlatform(policy(), config=config)
+    for name in ("web", "json", "bert"):
+        platform.register_function(name, get_profile(name))
+    return platform
+
+
+def scratch_snapshot(platform, cgroups):
+    """Every value the scratch's accounting reaches, as plain values."""
+    node = platform.node
+    return {
+        "usage": node.usage_samples(),
+        "peak": node.peak_pages,
+        "average": node.average_pages(),
+        "cgroups": [
+            (name, cgroup.local_pages, cgroup.space.pages(Segment.EXEC, Location.LOCAL))
+            for name, cgroup in cgroups.items()
+        ],
+        "next_id": next_region_id(),
+        "records": [
+            (r.invocation_id, r.container_id, r.start, r.completion, r.reclaim_stall_s)
+            for r in platform.records
+        ],
+        "reclaims": [
+            (event.time, event.data)
+            for event in platform.tracer.events
+            if event.kind == EventKind.DIRECT_RECLAIM.value
+        ],
+        "digest": platform.tracer.digest(),
+    }
+
+
+def replay_scratch(policy_name, capacity_mib, ops, charged):
+    """Run ``ops`` on a fresh platform; exec scratch is charged, or a
+    region as it was. Returns one snapshot per op."""
+    with mock.patch(
+        "repro.faas.container.Cgroup", Cgroup if charged else RegionScratchCgroup
+    ):
+        platform = scratch_platform(policy_name, capacity_mib)
+        engine = platform.engine
+        cgroups = {}
+        snapshots = []
+        for op, pick, gap in ops:
+            live = platform.controller.all_containers()
+            if op == "request":
+                platform.submit(("web", "json", "bert")[pick % 3], engine.now + gap)
+            elif op == "crash" and live:
+                live[pick % len(live)].crash()
+            elif op == "heartbeat" and live:
+                live[pick % len(live)]._on_heartbeat()
+            engine.run(until=engine.now + gap)
+            for container in platform.controller.all_containers():
+                cgroups.setdefault(container.container_id, container.cgroup)
+            snapshots.append(scratch_snapshot(platform, cgroups))
+        return snapshots
+
+
+_SCRATCH_OPS = pt.lists(
+    pt.tuples(
+        pt.sampled_from(["request", "request", "request", "crash", "heartbeat", "wait"]),
+        pt.integers(min_value=0, max_value=1 << 16),
+        pt.sampled_from([0.0, 1e-3, 0.05, 0.2, 1.0, 3.0, 8.0, 30.0]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestExecChargeMatchesScratchRegion:
+    """``Cgroup.charge``/``uncharge`` for exec scratch vs allocating and
+    freeing an ``exec/scratch`` region (:class:`RegionScratchCgroup`),
+    over random request, crash and heartbeat sequences on one platform
+    per example: node usage, per-cgroup pages, the next region id,
+    request records, direct reclaims and the trace digest must be equal
+    after every step."""
+
+    @pt.settings(max_examples=40)
+    @pt.given(
+        pt.sampled_from(["none", "tmo", "faasmem"]),
+        pt.sampled_from([None, None, 1125.0, 1400.0]),
+        _SCRATCH_OPS,
+    )
+    def test_charge_equals_region(self, policy_name, capacity_mib, ops):
+        charged = replay_scratch(policy_name, capacity_mib, ops, charged=True)
+        region = replay_scratch(policy_name, capacity_mib, ops, charged=False)
+        for step, (got, expected) in enumerate(zip(charged, region)):
+            for key in expected:
+                assert got[key] == expected[key], f"step {step} ({ops[step][0]}): {key}"
+
+    @pytest.mark.parametrize("policy_name", ["none", "tmo", "faasmem"])
+    def test_charge_crossing_min_watermark_reclaims_alike(self, policy_name):
+        """On a 1125 MiB governed node, bert's warm request at 50 s
+        charges its 210 MiB scratch below the min watermark: direct
+        reclaim runs inside the charge, owned by bert, and the stall
+        lands on that request, as it did for the region."""
+        web, bert = 0, 2  # picks in replay_scratch's function list
+        ops = [("request", web, 0.0), ("wait", 0, 10.0), ("request", bert, 0.0),
+               ("wait", 0, 30.0), ("request", bert, 0.0), ("wait", 0, 1.0),
+               ("request", web, 0.0), ("wait", 0, 9.0), ("request", bert, 0.0),
+               ("wait", 0, 10.0)]
+        crossings = []
+        real_charge = Cgroup.charge
+
+        def charge(cgroup, segment, pages):
+            before = cgroup.node.local_pages
+            real_charge(cgroup, segment, pages)
+            if cgroup.node.local_pages < before + pages:
+                crossings.append((cgroup.name, cgroup._clock()))
+
+        with mock.patch.object(Cgroup, "charge", charge):
+            charged = replay_scratch(policy_name, 1125.0, ops, charged=True)
+        region = replay_scratch(policy_name, 1125.0, ops, charged=False)
+        assert crossings == [("bert-2", 50.0)]
+        assert charged == region
+        assert (50.0, "bert-2") in [
+            (event[0], event[1]["owner"]) for event in charged[-1]["reclaims"]
+        ]
+        [record] = [r for r in charged[-1]["records"] if r[2] == 50.0]
+        assert record[1] == "bert-2" and record[4] > 0
 
 
 # ----------------------------------------------------------------------
