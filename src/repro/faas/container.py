@@ -84,6 +84,7 @@ class Container:
         # the pending completion and re-dispatch the victim.
         self._inflight: Optional[Invocation] = None
         self._exec_event = None
+        self._exec_name = f"exec:{container_id}"
         self._stage_event = None
 
         platform.policy.on_container_created(self)
@@ -228,7 +229,7 @@ class Container:
         self._exec_event = self.engine.schedule(
             service,
             lambda: self._complete(invocation, start, stall, recalled_pages, reclaim_stall),
-            name=f"exec:{self.container_id}",
+            name=self._exec_name,
         )
 
     def _request_working_set(self) -> List[PageRegion]:
@@ -356,13 +357,17 @@ class Container:
             timeout = governor.scale_keep_alive(timeout)
         self._keep_alive.start(timeout)
         heartbeat = self.platform.config.heartbeat_s
-        if heartbeat > 0 and self._heartbeat is None:
-            self._heartbeat = PeriodicTask(
-                self.engine,
-                heartbeat,
-                self._on_heartbeat,
-                name=f"hb:{self.container_id}",
-            )
+        if heartbeat > 0:
+            # One task per container, restarted each idle period.
+            if self._heartbeat is None:
+                self._heartbeat = PeriodicTask(
+                    self.engine,
+                    heartbeat,
+                    self._on_heartbeat,
+                    name=f"hb:{self.container_id}",
+                )
+            elif not self._heartbeat.running:
+                self._heartbeat.restart()
         self.platform.policy.on_container_idle(self)
 
     def _on_heartbeat(self) -> None:
@@ -393,7 +398,6 @@ class Container:
     def _stop_heartbeat(self) -> None:
         if self._heartbeat is not None:
             self._heartbeat.stop()
-            self._heartbeat = None
 
     def _on_keep_alive_expired(self) -> None:
         self.reclaim()

@@ -342,6 +342,7 @@ class ServerlessPlatform:
             if stats.count == 0:
                 continue
             records = [r for r in self.records if r.function == name]
+            p50, p95, p99 = stats.percentiles()
             summaries[name] = RunSummary(
                 system=self.policy.name,
                 benchmark=name,
@@ -349,9 +350,9 @@ class ServerlessPlatform:
                 requests=stats.count,
                 cold_starts=sum(1 for r in records if r.cold_start),
                 latency_mean=stats.mean,
-                latency_p50=stats.p50,
-                latency_p95=stats.p95,
-                latency_p99=stats.p99,
+                latency_p50=p50,
+                latency_p95=p95,
+                latency_p99=p99,
                 memory=self.memory_timeline(window),
             )
         return summaries
@@ -385,6 +386,7 @@ class ServerlessPlatform:
             raise TraceError("run produced no requests; nothing to summarize")
         duration = max(window if window is not None else self.engine.now, 1e-9)
         cold_starts = sum(1 for r in self.records if r.cold_start)
+        p50, p95, p99 = stats.percentiles()
         return RunSummary(
             system=self.policy.name,
             benchmark=benchmark,
@@ -392,9 +394,9 @@ class ServerlessPlatform:
             requests=stats.count,
             cold_starts=cold_starts,
             latency_mean=stats.mean,
-            latency_p50=stats.p50,
-            latency_p95=stats.p95,
-            latency_p99=stats.p99,
+            latency_p50=p50,
+            latency_p95=p95,
+            latency_p99=p99,
             memory=self.memory_timeline(window),
             offloaded_mib_total=self.fastswap.stats.offloaded_mib,
             recalled_mib_total=self.fastswap.stats.recalled_mib,

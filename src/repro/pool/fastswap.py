@@ -216,8 +216,13 @@ class Fastswap:
         # region_id -> the shard holding that remote region's pages.
         self._residence: Dict[int, PoolShard] = {}
         # The residences above the bottom tier: what the demotion
-        # daemon works on, kept so it never scans the whole pool.
+        # daemon works on, kept so it never scans the whole pool. In
+        # (placed_at, region_id) order once normalised: placements
+        # append at the clock's current time, so only a same-time
+        # placement with a smaller id than the tail breaks the order,
+        # and that marks the dict for one re-sort on the next tick.
         self._upper: Dict[int, _Upper] = {}
+        self._upper_unsorted = False
         self.tier_stats: Dict[int, TierLedger] = {
             tier.level: TierLedger() for tier in pool.tiers
         }
@@ -330,7 +335,7 @@ class Fastswap:
                 pages=pages,
             )
         if shard.level < self._bottom_level:
-            self._upper[region_id] = _Upper(region, self.engine.now)
+            self._place_upper(_Upper(region, self.engine.now))
             self._kick_daemon()
 
     # ------------------------------------------------------------------
@@ -665,6 +670,28 @@ class Fastswap:
     # Background demotion daemon
     # ------------------------------------------------------------------
 
+    def _place_upper(self, placement: _Upper) -> None:
+        """Append ``placement`` to the demotion index, keeping its order."""
+        upper = self._upper
+        region_id = placement.region.region_id
+        if upper and not self._upper_unsorted:
+            tail_id = next(reversed(upper))
+            if (placement.placed_at, region_id) < (upper[tail_id].placed_at, tail_id):
+                self._upper_unsorted = True
+        upper[region_id] = placement
+
+    def _sorted_upper(self) -> Dict[int, _Upper]:
+        """The demotion index, re-sorted first if an append broke its order."""
+        if self._upper_unsorted:
+            self._upper_unsorted = False
+            self._upper = dict(
+                sorted(
+                    self._upper.items(),
+                    key=lambda item: (item[1].placed_at, item[0]),
+                )
+            )
+        return self._upper
+
     def _kick_daemon(self) -> None:
         """(Re)arm the demotion ticker if there is anything to demote.
 
@@ -685,23 +712,24 @@ class Fastswap:
             self._daemon = None
 
     def _demote_tick(self) -> None:
-        now = self.engine.now
-        topology = self.pool.topology
-        upper = list(self._upper.values())
-        if not upper:
+        if not self._upper:
             self._stop_daemon()
             return
         if self.suspended:
             # Interconnect outage / open breaker: pause, keep ticking.
             return
-        ripe = sorted(
-            (p for p in upper if now - p.placed_at >= topology.demote_after_s),
-            key=lambda p: (p.placed_at, p.region.region_id),
-        )
+        now = self.engine.now
+        topology = self.pool.topology
+        demote_after = topology.demote_after_s
+        upper = self._sorted_upper()
         budget = pages_from_mib(topology.demote_batch_mib)
-        progressed = False
-        for placement in ripe:
-            if budget <= 0:
+        moved: List[_Upper] = []
+        # ``now - placed_at`` never decreases as placed_at decreases
+        # (IEEE subtraction is monotone), so the ripe placements are a
+        # prefix of the index: walk it oldest first and stop at the
+        # first unripe one or when the batch is spent.
+        for placement in upper.values():
+            if budget <= 0 or now - placement.placed_at < demote_after:
                 break
             region = placement.region
             pages = region.pages
@@ -731,15 +759,23 @@ class Fastswap:
                     pages=pages,
                 )
             self._residence[region.region_id] = dst_shard
-            if dst_shard.level == self._bottom_level:
-                del self._upper[region.region_id]
-            placement.placed_at = now
+            moved.append(placement)
             budget -= pages
-            progressed = True
-        if not progressed and all(
-            now - p.placed_at >= topology.demote_after_s for p in upper
-        ):
-            # Every upper-tier page is ripe but blocked on full lower
-            # tiers; ticking again changes nothing. Recalls and frees
-            # re-kick the daemon when room opens up.
-            self._stop_daemon()
+        if not moved:
+            if now - upper[next(reversed(upper))].placed_at >= demote_after:
+                # Every upper-tier page is ripe but blocked on full
+                # lower tiers; ticking again changes nothing. Recalls
+                # and frees re-kick the daemon when room opens up.
+                self._stop_daemon()
+            return
+        # Index updates wait until the walk is done: a page that
+        # reached the bottom tier leaves the index, and one re-placed in
+        # a middle tier starts its residence clock again at the tail.
+        bottom = self._bottom_level
+        residence = self._residence
+        for placement in moved:
+            region_id = placement.region.region_id
+            del upper[region_id]
+            if residence[region_id].level != bottom:
+                placement.placed_at = now
+                self._place_upper(placement)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -56,9 +56,15 @@ class Event:
     live on the heap during a long sweep, and ``__slots__`` removes
     the per-instance ``__dict__`` while the hand-written ``__lt__``
     compares exactly the two ordering fields.
+
+    ``_entry_time`` is the time of the one heap entry that will
+    surface the event, or None while no entry is queued (it ran, its
+    cancelled entry was dropped, or the engine was cleared). After
+    :meth:`Engine.rearm` that entry may lie earlier than
+    ``(time, seq)``; the engine re-files it when it reaches the head.
     """
 
-    __slots__ = ("time", "seq", "callback", "name", "cancelled")
+    __slots__ = ("time", "seq", "callback", "name", "cancelled", "_entry_time")
 
     def __init__(
         self,
@@ -73,6 +79,12 @@ class Event:
         self.callback = callback
         self.name = name
         self.cancelled = cancelled
+        self._entry_time: Optional[float] = None
+
+    @property
+    def queued(self) -> bool:
+        """Whether a heap entry will surface this event (cancelled or not)."""
+        return self._entry_time is not None
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped."""
@@ -128,7 +140,11 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Number of events still on the heap (including cancelled ones)."""
+        """Number of entries still on the heap (cancelled events included).
+
+        An event moved by :meth:`rearm` keeps its one entry, so it
+        counts once.
+        """
         return len(self._heap)
 
     def schedule(
@@ -149,6 +165,40 @@ class Engine:
             )
         seq = next(self._seq)
         event = Event(time, seq, callback, name)
+        event._entry_time = time
+        heappush(self._heap, (time, seq, event))
+        return event
+
+    def rearm(self, event: Event, time: float) -> Event:
+        """Move ``event`` to absolute ``time``, un-cancelled; return the armed event.
+
+        The sequence number is drawn now, exactly as :meth:`schedule_at`
+        draws it, so the event runs under the same ``(time, seq)`` key
+        as a cancel followed by a fresh schedule would give it. While
+        the event's heap entry is still queued and no later than
+        ``time``, that entry is reused: it surfaces first and
+        :meth:`_live_head` re-files it under the new key. Otherwise a
+        fresh entry is pushed; when the queued entry lies beyond
+        ``time`` it cannot be reused, so the event stays cancelled and
+        a new :class:`Event` with the same callback and name is
+        returned in its place.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time} before current time {self._now}"
+            )
+        seq = next(self._seq)
+        entry_time = event._entry_time
+        if entry_time is not None and entry_time > time:
+            event.cancelled = True
+            event = Event(time, seq, event.callback, event.name)
+        else:
+            event.time = time
+            event.seq = seq
+            event.cancelled = False
+            if entry_time is not None:
+                return event
+        event._entry_time = time
         heappush(self._heap, (time, seq, event))
         return event
 
@@ -157,14 +207,27 @@ class Engine:
 
         The single home of the cancelled-event skip logic: both
         :meth:`step` and :meth:`run` peek through this, so cancelled
-        events are lazily popped in exactly one place.
+        events are lazily popped in exactly one place. It is also where
+        an entry :meth:`rearm` moved is re-filed under its event's
+        current ``(time, seq)``: that neither advances the clock nor
+        counts as an executed event. A moved entry's key is never later
+        than its event's, so it surfaces before anything the event must
+        follow, and since ``seq`` is unique per engine one integer
+        comparison tells a moved entry from a settled one.
         """
         heap = self._heap
         while heap:
-            head = heap[0][2]
-            if not head.cancelled:
+            entry = heap[0]
+            head = entry[2]
+            if head.cancelled:
+                heappop(heap)
+                head._entry_time = None
+            elif entry[1] == head.seq:
                 return head
-            heappop(heap)
+            else:
+                time = head.time
+                head._entry_time = time
+                heapreplace(heap, (time, head.seq, head))
         return None
 
     def step(self) -> Optional[Event]:
@@ -174,12 +237,15 @@ class Engine:
         :class:`SimulationError` subtype that also derives from the
         original exception class, with ``sim_time`` and ``event_name``
         attached. The failed event is already off the heap, so the
-        queue stays consistent and the engine can keep stepping.
+        queue stays consistent and the engine can keep stepping. A
+        callback that re-arms its own event (a periodic tick) leaves
+        the returned event describing its next run; its name is kept.
         """
         event = self._live_head()
         if event is None:
             return None
         heappop(self._heap)
+        event._entry_time = None
         self._now = event.time
         self._events_processed += 1
         tracer = self.tracer
@@ -195,6 +261,11 @@ class Engine:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events in order until the heap drains.
+
+        Every event is executed through ``self.step``, looked up on the
+        instance once per call: a profiler that replaces ``step`` on an
+        engine instance sees each executed event exactly once, so the
+        loop must never inline the step body.
 
         Args:
             until: stop once the next event lies strictly beyond this
@@ -229,5 +300,12 @@ class Engine:
             self._running = False
 
     def clear(self) -> None:
-        """Drop every pending event without executing it."""
+        """Drop every pending event without executing it.
+
+        A dropped event's entry is gone, so a later :meth:`rearm` of it
+        pushes a fresh entry rather than waiting for one that never
+        surfaces.
+        """
+        for _, _, event in self._heap:
+            event._entry_time = None
         self._heap.clear()

@@ -12,7 +12,10 @@ class Timer:
     """A single-shot, restartable timer.
 
     Used for container keep-alive timeouts: every new request restarts
-    the timer, and only an undisturbed expiry fires the callback.
+    the timer, and only an undisturbed expiry fires the callback. A
+    cancelled timer keeps its event, so the next :meth:`start` re-arms
+    it in place (:meth:`Engine.rearm`) instead of leaving a dead entry
+    on the heap and allocating another.
     """
 
     def __init__(self, engine: Engine, callback: Callable[[], Any], name: str = "") -> None:
@@ -36,14 +39,18 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer to fire ``delay`` seconds from now."""
-        self.cancel()
-        self._event = self._engine.schedule(delay, self._fire, name=self._name)
+        engine = self._engine
+        if self._event is None:
+            self._event = engine.schedule(delay, self._fire, name=self._name)
+        elif delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        else:
+            self._event = engine.rearm(self._event, engine.now + delay)
 
     def cancel(self) -> None:
         """Disarm the timer if armed."""
         if self._event is not None:
             self._event.cancel()
-            self._event = None
 
     def _fire(self) -> None:
         self._event = None
@@ -54,7 +61,9 @@ class PeriodicTask:
     """Invoke a callback every ``interval`` seconds until stopped.
 
     The callback may call :meth:`stop` to terminate the series; the
-    period may also be changed between ticks via :attr:`interval`.
+    period may also be changed between ticks via :attr:`interval`. A
+    stopped task can be started again with :meth:`restart`, which
+    re-arms its one event in place, as every tick does.
     """
 
     def __init__(
@@ -72,7 +81,7 @@ class PeriodicTask:
         self._callback = callback
         self._name = name
         self._stopped = False
-        self._event: Optional[Event] = engine.schedule(
+        self._event: Event = engine.schedule(
             interval if start_delay is None else start_delay, self._tick, name=name
         )
 
@@ -84,13 +93,28 @@ class PeriodicTask:
     def stop(self) -> None:
         """Cancel all future ticks."""
         self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self._event.cancel()
+
+    def restart(self, start_delay: Optional[float] = None) -> None:
+        """Begin a new series: the first tick ``start_delay`` seconds from now.
+
+        ``start_delay`` defaults to :attr:`interval`, as in the
+        constructor. The tick is scheduled exactly where a new task
+        built at this instant would schedule it; any tick still pending
+        is dropped.
+        """
+        delay = self.interval if start_delay is None else start_delay
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        engine = self._engine
+        self._stopped = False
+        self._event = engine.rearm(self._event, engine.now + delay)
 
     def _tick(self) -> None:
-        if self._stopped:
-            return
         self._callback()
-        if not self._stopped:
-            self._event = self._engine.schedule(self.interval, self._tick, name=self._name)
+        # The callback may have stopped the series, or stopped and
+        # restarted it (which queued the event again).
+        event = self._event
+        if not self._stopped and not event.queued:
+            engine = self._engine
+            self._event = engine.rearm(event, engine.now + self.interval)

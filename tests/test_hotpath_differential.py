@@ -11,9 +11,18 @@
   with repeated reads whose splits stay in the space.
 * ``Link.bytes_moved``'s prefix sums vs the windowed sum over every
   transfer.
-* ``Fastswap``'s upper-tier set vs a filter of every residence.
+* ``Fastswap``'s demotion index vs a filter of every residence (same
+  set, ``(placed_at, region_id)`` order once normalised), and each
+  demotion tick's walk of its ripe prefix vs the sort and filter of
+  every placement it replaced (kept here as ``SortingDemoteFastswap``).
 * ``Engine``'s ``(time, seq, event)`` heap vs sorting the live events
   by ``(time, seq)``, over random schedule/cancel/step sequences.
+* ``Timer`` and ``PeriodicTask`` re-armed in place vs cancelled and
+  scheduled anew (kept here as ``EagerTimer`` and
+  ``EagerPeriodicTask``): executed ``(time, seq, name)`` keys,
+  ``events_processed``, ``now`` and every timer's and task's state
+  after each step of random start/cancel/restart/stop/step/run/clear
+  sequences with many equal-timestamp ties.
 * ``UniformInit.request_regions``' one vector draw vs one scalar draw
   per tail chunk (same regions, same generator state), and the cached
   service-time lognormal parameters vs the per-call formula.
@@ -66,7 +75,7 @@ from repro.core.config import FaaSMemConfig
 from repro.core.manager import FaaSMemPolicy
 from repro.core.profiler import FunctionProfiler, sorted_percentile
 from repro.core.pucket import ContainerMemoryState
-from repro.errors import MemoryError_
+from repro.errors import MemoryError_, SimulationError
 from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.faas.container import ContainerState
 from repro.faas.controller import Controller
@@ -83,11 +92,12 @@ from repro.pool.link import Link, LinkConfig, LinkDirection
 from repro.pool.tier import TieredPool, TierSpec, TierTopology
 from repro.pressure import PressureConfig
 from repro.sim.engine import Engine
+from repro.sim.process import PeriodicTask, Timer
 from repro.sim.randomness import RandomStreams
 from repro.traces import azure, patterns
 from repro.traces.analysis import ContainerSpan, KeepAliveReplay, replay_keepalive
 from repro.traces.azure import AzureTraceConfig, generate_azure_like, sample_function_trace
-from repro.units import HOUR, PAGE_SIZE
+from repro.units import HOUR, PAGE_SIZE, pages_from_mib
 from repro.workloads import all_benchmarks, get_profile
 from repro.workloads.profile import InitState, UniformInit
 
@@ -537,7 +547,7 @@ _TIER_OPS = pt.lists(
 )
 
 
-def three_tier(engine):
+def three_tier(engine, fastswap_cls=Fastswap):
     """Small upper tiers, so offloads spill and demotions block."""
     topology = TierTopology(
         tiers=[
@@ -550,59 +560,181 @@ def three_tier(engine):
         demote_batch_mib=1.0,
     )
     pool = TieredPool(lambda: engine.now, topology, default_capacity_mib=64.0)
-    return Fastswap(engine, pool)
+    return fastswap_cls(engine, pool)
+
+
+class SortingDemoteFastswap(Fastswap):
+    """The demotion tick as it was: sort and filter every placement."""
+
+    def _demote_tick(self):
+        now = self.engine.now
+        topology = self.pool.topology
+        upper = list(self._upper.values())
+        if not upper:
+            self._stop_daemon()
+            return
+        if self.suspended:
+            return
+        ripe = sorted(
+            (p for p in upper if now - p.placed_at >= topology.demote_after_s),
+            key=lambda p: (p.placed_at, p.region.region_id),
+        )
+        budget = pages_from_mib(topology.demote_batch_mib)
+        progressed = False
+        for placement in ripe:
+            if budget <= 0:
+                break
+            region = placement.region
+            pages = region.pages
+            src_shard = self._residence[region.region_id]
+            dst_shard = self.pool.tiers[src_shard.level].shard_for(region.region_id)
+            if not dst_shard.room_for(pages):
+                continue
+            src_level = src_shard.level
+            dst_shard.link.transfer(now, pages, LinkDirection.OUT)
+            self.pool.migrate(src_shard, dst_shard, pages)
+            self.tier_stats[src_level].demoted_out += pages
+            self.tier_stats[dst_shard.level].demoted_in += pages
+            self.demotions += 1
+            if self.tracer is not None:
+                self.tracer.emit(
+                    EventKind.TIER_DEMOTE,
+                    region.name,
+                    from_tier=src_level,
+                    to_tier=dst_shard.level,
+                    shard=dst_shard.index,
+                    region=region.region_id,
+                    pages=pages,
+                )
+            self._residence[region.region_id] = dst_shard
+            if dst_shard.level == self._bottom_level:
+                del self._upper[region.region_id]
+            placement.placed_at = now
+            budget -= pages
+            progressed = True
+        if not progressed and all(
+            now - p.placed_at >= topology.demote_after_s for p in upper
+        ):
+            self._stop_daemon()
 
 
 def check_upper_against_scan(fastswap):
+    """The demotion index holds exactly the upper-tier residences, in
+    ``(placed_at, region_id)`` order unless marked for a re-sort."""
     bottom = fastswap.pool.tiers[-1].level
-    expected = [
+    expected = {
         region_id
         for region_id, shard in fastswap._residence.items()
         if shard.level < bottom
-    ]
-    assert list(fastswap._upper) == expected
-    assert [fastswap._upper[i].region.region_id for i in expected] == expected
+    }
+    assert set(fastswap._upper) == expected
+    assert all(p.region.region_id == i for i, p in fastswap._upper.items())
+    if not fastswap._upper_unsorted:
+        keys = [(p.placed_at, i) for i, p in fastswap._upper.items()]
+        assert keys == sorted(keys)
+
+
+def replay_tiers(ops, fastswap_cls):
+    """Run ``ops`` on a fresh three-tier datapath.
+
+    Returns the region ids each demotion tick moved, in order, the
+    final ledgers and every datapath event. Region ids restart at 1, so
+    two replays of the same ops name the same regions. The index is
+    checked after every op, except under the sorting tick, which
+    re-times placements in place and keeps no order.
+    """
+    indexed = fastswap_cls is Fastswap
+    page.reset_region_ids()
+    engine = Engine()
+    node = ComputeNode(clock=lambda: engine.now, capacity_mib=1 << 20)
+    cgroup = Cgroup("tiered", node, clock=lambda: engine.now)
+    fastswap = three_tier(engine, fastswap_cls)
+    fastswap.attach(cgroup)
+    fastswap.tracer = _Recorder()
+    ticks = []
+    tick = fastswap._demote_tick
+
+    def recorded_tick():
+        before = len(fastswap.tracer.events)
+        tick()
+        ticks.append([
+            fields["region"]
+            for kind, fields in fastswap.tracer.events[before:]
+            if kind is EventKind.TIER_DEMOTE
+        ])
+
+    fastswap._demote_tick = recorded_tick
+    hints = (None, "near", "far")
+    for op, pick, size in ops:
+        live = list(cgroup.space.regions())
+        local = [r for r in live if r.is_local]
+        remote = [r for r in live if r.is_remote]
+        if op == "alloc":
+            cgroup.allocate(f"r{pick % 5}", Segment.INIT, size)
+        elif op == "offload" and local:
+            start = pick % len(local)
+            chosen = local[start:start + 1 + size % 3]
+            fastswap.offload(cgroup, chosen, tier_hint=hints[pick % 3])
+        elif op == "writeback" and local:
+            fastswap.writeback(cgroup, [local[pick % len(local)]], hints[pick % 3])
+        elif op == "fault" and remote:
+            fastswap.fault(cgroup, [remote[pick % len(remote)]])
+        elif op == "free" and live:
+            cgroup.free(live[pick % len(live)])
+        elif op == "run":
+            engine.run(until=engine.now + size / 64)
+        elif op == "demote":
+            fastswap._demote_tick()
+        elif op == "crash":
+            shards = fastswap.pool.all_shards()
+            shard = shards[pick % len(shards)]
+            lost = fastswap.declare_lost(
+                cgroup, fastswap.regions_on_shard(cgroup, shard)
+            )
+            fastswap.pool.drop(shard, lost)
+        if indexed:
+            check_upper_against_scan(fastswap)
+    engine.run(until=engine.now + 60.0)
+    if indexed:
+        check_upper_against_scan(fastswap)
+    ledgers = {level: vars(ledger) for level, ledger in fastswap.tier_stats.items()}
+    return ticks, ledgers, fastswap.tracer.events
 
 
 class TestTierUpperSetMatchesScan:
     @pt.settings(max_examples=150)
     @pt.given(_TIER_OPS)
     def test_upper_set_equals_filter(self, ops):
+        replay_tiers(ops, Fastswap)
+
+    @pt.settings(max_examples=150)
+    @pt.given(_TIER_OPS)
+    def test_demotions_equal_sort_and_filter(self, ops):
+        ticks, ledgers, events = replay_tiers(ops, Fastswap)
+        assert (ticks, ledgers, events) == replay_tiers(ops, SortingDemoteFastswap)
+
+    def test_same_time_placements_are_resorted(self):
+        """Placements that tie on ``placed_at`` with falling ids mark the
+        index, and the next tick demotes them in id order."""
+        page.reset_region_ids()
         engine = Engine()
         node = ComputeNode(clock=lambda: engine.now, capacity_mib=1 << 20)
         cgroup = Cgroup("tiered", node, clock=lambda: engine.now)
         fastswap = three_tier(engine)
         fastswap.attach(cgroup)
-        hints = (None, "near", "far")
-        for op, pick, size in ops:
-            live = list(cgroup.space.regions())
-            local = [r for r in live if r.is_local]
-            remote = [r for r in live if r.is_remote]
-            if op == "alloc":
-                cgroup.allocate(f"r{pick % 5}", Segment.INIT, size)
-            elif op == "offload" and local:
-                start = pick % len(local)
-                chosen = local[start:start + 1 + size % 3]
-                fastswap.offload(cgroup, chosen, tier_hint=hints[pick % 3])
-            elif op == "writeback" and local:
-                fastswap.writeback(cgroup, [local[pick % len(local)]], hints[pick % 3])
-            elif op == "fault" and remote:
-                fastswap.fault(cgroup, [remote[pick % len(remote)]])
-            elif op == "free" and live:
-                cgroup.free(live[pick % len(live)])
-            elif op == "run":
-                engine.run(until=engine.now + size / 64)
-            elif op == "demote":
-                fastswap._demote_tick()
-            elif op == "crash":
-                shards = fastswap.pool.all_shards()
-                shard = shards[pick % len(shards)]
-                lost = fastswap.declare_lost(
-                    cgroup, fastswap.regions_on_shard(cgroup, shard)
-                )
-                fastswap.pool.drop(shard, lost)
-            check_upper_against_scan(fastswap)
-        engine.run(until=engine.now + 60.0)
+        regions = [cgroup.allocate(f"r{i}", Segment.INIT, 16) for i in range(3)]
+        for region in reversed(regions):
+            fastswap.writeback(cgroup, [region], "near")
+        assert fastswap._upper_unsorted
+        assert list(fastswap._upper) == [r.region_id for r in reversed(regions)]
+        fastswap.tracer = _Recorder()
+        engine.run(until=2.5)
+        demoted = [
+            fields["region"]
+            for kind, fields in fastswap.tracer.events
+            if kind is EventKind.TIER_DEMOTE
+        ]
+        assert demoted == [r.region_id for r in regions]
         check_upper_against_scan(fastswap)
 
 
@@ -669,6 +801,257 @@ class TestEngineOrderMatchesSort:
         assert executed == expected
         assert engine.events_processed == len(executed)
         assert engine.pending == 0
+
+
+# ----------------------------------------------------------------------
+# Timers: re-armed in place vs cancel-and-schedule
+# ----------------------------------------------------------------------
+
+
+class EagerTimer:
+    """``Timer`` as it was: every start cancels and schedules anew."""
+
+    def __init__(self, engine, callback, name=""):
+        self._engine = engine
+        self._callback = callback
+        self._name = name
+        self._event = None
+
+    @property
+    def armed(self):
+        return self._event is not None and not self._event.cancelled
+
+    @property
+    def deadline(self):
+        return self._event.time if self.armed else None
+
+    def start(self, delay):
+        self.cancel()
+        self._event = self._engine.schedule(delay, self._fire, name=self._name)
+
+    def cancel(self):
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
+    def _fire(self):
+        self._event = None
+        self._callback()
+
+
+class _EagerSeries:
+    """``PeriodicTask`` as it was: one new event per tick."""
+
+    def __init__(self, engine, interval, callback, name="", start_delay=None):
+        self._engine = engine
+        self.interval = interval
+        self._callback = callback
+        self._name = name
+        self._stopped = False
+        self._event = engine.schedule(
+            interval if start_delay is None else start_delay, self._tick, name=name
+        )
+
+    @property
+    def running(self):
+        return not self._stopped
+
+    def stop(self):
+        self._stopped = True
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
+    def _tick(self):
+        if self._stopped:
+            return
+        self._callback()
+        if not self._stopped:
+            self._event = self._engine.schedule(self.interval, self._tick, name=self._name)
+
+
+class EagerPeriodicTask:
+    """A periodic task whose ``restart`` is what callers did before the
+    method existed: stop the task and build a new one (an
+    ``_EagerSeries``) in the same instant."""
+
+    def __init__(self, engine, interval, callback, name="", start_delay=None):
+        self._make = lambda interval, delay: _EagerSeries(
+            engine, interval, callback, name, delay
+        )
+        self._series = self._make(interval, start_delay)
+
+    @property
+    def interval(self):
+        return self._series.interval
+
+    @interval.setter
+    def interval(self, value):
+        self._series.interval = value
+
+    @property
+    def running(self):
+        return self._series.running
+
+    def stop(self):
+        self._series.stop()
+
+    def restart(self, start_delay=None):
+        self._series.stop()
+        self._series = self._make(self._series.interval, start_delay)
+
+
+_TIMER_OPS = pt.lists(
+    pt.tuples(
+        pt.sampled_from(
+            ["start", "start", "start", "cancel", "restart", "restart", "stop",
+             "interval", "schedule", "step", "step", "until", "max_events", "clear"]
+        ),
+        pt.integers(min_value=0, max_value=1 << 16),
+        # Few distinct delays, so many expiries tie on their timestamp
+        # and a start often moves a timer earlier than its queued entry.
+        pt.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0]),
+    ),
+    min_size=1,
+    max_size=70,
+)
+
+
+def replay_timers(ops, timer_cls, task_cls):
+    """Drive three timers and two periodic tasks on one engine.
+
+    The callbacks act on the timers too: an expiry restarts the next
+    timer on every other firing, a task stops itself on every third
+    tick, and on every fifth it stops and restarts itself from inside
+    its own tick. Returns one snapshot per op: the executed ``(time,
+    seq, name)`` keys so far, ``events_processed``, ``now``, each
+    timer's ``armed``/``deadline``, each task's ``running``, and which
+    ops raised.
+    """
+    engine = Engine()
+    executed = []
+    step = engine.step
+
+    def recording_step():
+        head = engine._live_head()
+        if head is not None:
+            executed.append((head.time, head.seq, head.name))
+        return step()
+
+    engine.step = recording_step
+    fired = [0, 0, 0]
+    ticks = [0, 0]
+    timers, tasks = [], []
+
+    def expiry(index):
+        def callback():
+            fired[index] += 1
+            if fired[index] % 2 == 0:
+                timers[(index + 1) % 3].start(1.0)
+        return callback
+
+    def tick(index):
+        def callback():
+            ticks[index] += 1
+            if ticks[index] % 3 == 0:
+                tasks[index].stop()
+            elif ticks[index] % 5 == 0:
+                tasks[index].stop()
+                tasks[index].restart(0.5)
+        return callback
+
+    timers.extend(timer_cls(engine, expiry(i), name=f"ka:{i}") for i in range(3))
+    tasks.extend(
+        task_cls(engine, 1.0, tick(i), name=f"hb:{i}", start_delay=0.0 if i else None)
+        for i in range(2)
+    )
+    snapshots = []
+    for op, pick, delay in ops:
+        raised = None
+        try:
+            if op == "start":
+                timers[pick % 3].start(delay)
+            elif op == "cancel":
+                timers[pick % 3].cancel()
+            elif op == "restart":
+                tasks[pick % 2].restart(delay if pick % 3 else None)
+            elif op == "stop":
+                tasks[pick % 2].stop()
+            elif op == "interval":
+                tasks[pick % 2].interval = delay or 0.25
+            elif op == "schedule":
+                engine.schedule(delay, lambda: None, name="plain")
+            elif op == "step":
+                engine.step()
+            elif op == "until":
+                engine.run(until=engine.now + delay + pick % 3)
+            elif op == "max_events":
+                engine.run(max_events=pick % 6)
+            elif op == "clear":
+                engine.clear()
+        except SimulationError as exc:
+            raised = str(exc)
+        snapshots.append((
+            list(executed),
+            engine.events_processed,
+            engine.now,
+            [(timer.armed, timer.deadline) for timer in timers],
+            [task.running for task in tasks],
+            raised,
+        ))
+    return snapshots
+
+
+class TestRearmedTimersMatchEager:
+    """``Timer`` and ``PeriodicTask`` re-arming their one event in
+    place (``Engine.rearm``) vs cancelling it and scheduling a new one
+    (``EagerTimer``, ``EagerPeriodicTask``): the same events run under
+    the same ``(time, seq)`` keys."""
+
+    @pt.settings(max_examples=300)
+    @pt.given(_TIMER_OPS)
+    def test_rearm_equals_cancel_and_schedule(self, ops):
+        assert replay_timers(ops, Timer, PeriodicTask) == replay_timers(
+            ops, EagerTimer, EagerPeriodicTask
+        )
+
+    def test_rearm_earlier_than_queued_entry_pushes_fresh(self):
+        engine = Engine()
+        fired = []
+        timer = Timer(engine, lambda: fired.append(engine.now))
+        timer.start(5.0)
+        first = timer._event
+        timer.start(1.0)
+        assert timer._event is not first and first.cancelled
+        assert engine.pending == 2
+        engine.run()
+        assert fired == [1.0]
+        assert engine.events_processed == 1
+
+    def test_rearm_later_reuses_the_queued_entry(self):
+        engine = Engine()
+        fired = []
+        timer = Timer(engine, lambda: fired.append(engine.now))
+        timer.start(1.0)
+        event = timer._event
+        for delay in (2.0, 3.0, 4.0):
+            timer.cancel()
+            timer.start(delay)
+        assert timer._event is event and engine.pending == 1
+        engine.run()
+        assert fired == [4.0] and engine.events_processed == 1
+
+    def test_cleared_entry_is_not_reused(self):
+        engine = Engine()
+        fired = []
+        timer = Timer(engine, lambda: fired.append(engine.now))
+        timer.start(1.0)
+        engine.clear()
+        assert not timer._event.queued
+        timer.start(2.0)
+        assert engine.pending == 1
+        engine.run()
+        assert fired == [2.0]
 
 
 # ----------------------------------------------------------------------

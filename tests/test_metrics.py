@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,6 +50,23 @@ class TestLatencyStats:
     def test_empty_mean_rejected(self):
         with pytest.raises(ValueError):
             _ = LatencyStats().mean
+
+    def test_one_call_percentiles_equal_separate_calls(self):
+        """``percentiles()`` is bitwise the three ``p(q)`` calls, over
+        random sample sets of 1-600 with ties."""
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            n = int(rng.integers(1, 601))
+            samples = rng.lognormal(-2.0, 1.0, n)
+            if rng.random() < 0.5:
+                samples = np.round(samples, int(rng.integers(0, 3)))
+            stats = LatencyStats(samples=samples.tolist())
+            one_call = [value.hex() for value in stats.percentiles()]
+            assert one_call == [stats.p(q).hex() for q in (50, 95, 99)]
+
+    def test_percentiles_of_nothing_rejected(self):
+        with pytest.raises(ValueError):
+            LatencyStats().percentiles()
 
     def test_summary_keys(self):
         stats = LatencyStats(samples=[0.1] * 10)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
+from repro.sim.process import PeriodicTask, Timer
 
 
 class TestScheduling:
@@ -173,6 +174,30 @@ class TestRunControl:
         engine.schedule(2.0, lambda: None)
         engine.run()
         assert engine.events_processed == 2
+
+    def test_run_executes_every_event_through_instance_step(self, engine):
+        """A profiler may replace ``step`` on one engine instance; ``run``
+        must call it once per executed event, re-armed ones included."""
+        calls = []
+        step = engine.step
+
+        def counting_step():
+            event = step()
+            calls.append(event.name)
+            return event
+
+        engine.step = counting_step
+        timer = Timer(engine, lambda: None, name="ka")
+        timer.start(1.5)
+        # At t=1 the timer moves to t=3: its entry at 1.5 is re-filed,
+        # which is not an event.
+        engine.schedule(1.0, lambda: timer.start(2.0), name="request")
+        engine.schedule(1.0, lambda: None, name="tie")
+        task = PeriodicTask(engine, 1.0, lambda: None, name="hb")
+        engine.schedule(3.5, task.stop, name="stop")
+        engine.run(until=10.0)
+        assert calls == ["request", "tie", "hb", "hb", "ka", "hb", "stop"]
+        assert engine.events_processed == len(calls)
 
     def test_clock_never_goes_backwards(self, engine):
         times = []
